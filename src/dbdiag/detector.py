@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -419,11 +419,7 @@ def run_ablation(frame: MetricFrame, architectures: tuple[str, ...] | None = Non
     base = config or TrainConfig()
     rows = []
     for arch in architectures or TABLE_ARCHITECTURES:
-        cfg = TrainConfig(architecture=arch, window_steps=base.window_steps,
-                          stride=base.stride, learning_rate=base.learning_rate,
-                          l2_lambda=base.l2_lambda, batch_size=base.batch_size,
-                          max_epochs=base.max_epochs, patience=base.patience,
-                          seed=base.seed, split=base.split)
+        cfg = replace(base, architecture=arch)
         try:
             result = train(frame, cfg)
         except (ConfigError, TrainingError) as exc:

@@ -17,8 +17,8 @@ class ConfigError(DiagError):
 class ArchitectureError(ConfigError):
     """Architecture string does not parse or is not a well-formed mirror.
 
-    ``position`` is the character offset of the offending token in the
-    original string, when known.
+    ``position`` is the 1-based index of the offending token among the
+    ``-``-separated tokens of the string, when known.
     """
 
     def __init__(self, message, position=None):

@@ -20,31 +20,52 @@ from .data import MetricFrame, minute_to_iso
 from .errors import DataError
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray, squared: bool = False) -> float:
+def dtw_distance(a: np.ndarray, b: np.ndarray,
+                 squared: bool = False) -> float | np.ndarray:
     """Classic dynamic-programming DTW with unit steps and no band.
 
     Pointwise cost is |a_i - b_j| (squared when requested); the warping path
-    may match, insert, or delete one element at a time.
+    may match, insert, or delete one element at a time. ``b`` is one series
+    of shape (m,), which gives a float, or k series of shape (k, m), which
+    gives k distances from ``a`` as a (k,) array.
+
+    Cells D[i, j] are filled one anti-diagonal i + j = d at a time, every
+    cell of a diagonal (and of every row of ``b``) in one NumPy step. Each
+    cell is still cost + min(diag, up, left) on the same operands, so the
+    result is bit-identical to the row-by-row recurrence. Non-finite input
+    is rejected: NaN would make the minimum depend on operand order.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DataError(f"DTW needs 1-d series, got shapes {a.shape} and {b.shape}")
+    if a.ndim != 1 or b.ndim not in (1, 2):
+        raise DataError(f"DTW needs a 1-d series against one or a stack of 1-d "
+                        f"series, got shapes {a.shape} and {b.shape}")
     if a.size == 0 or b.size == 0:
         raise DataError("DTW over an empty series")
-    n, m = a.size, b.size
-    prev = np.full(m + 1, np.inf)
-    prev[0] = 0.0
-    cur = np.empty(m + 1)
-    for i in range(1, n + 1):
-        cur[0] = np.inf
-        costs = np.abs(a[i - 1] - b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("DTW over a series holding NaN or inf")
+    rows = np.atleast_2d(b)
+    n, m = a.size, rows.shape[1]
+    # Buffer d % 3 holds diagonal d, indexed by row i: D[i, d - i]. Row 0
+    # and row d of diagonal d are the D[0, d] and D[d, 0] borders; row 0 is
+    # reset on every step because diagonal 0 leaves D[0, 0] = 0 there.
+    diags = np.full((3, rows.shape[0], n + 1), np.inf)
+    diags[0, :, 0] = 0.0
+    b_rev = rows[:, ::-1]
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        cur, prev, prev2 = diags[d % 3], diags[(d - 1) % 3], diags[(d - 2) % 3]
+        cur[:, 0] = np.inf
+        out = cur[:, lo:hi + 1]
+        np.minimum(prev2[:, lo - 1:hi], prev[:, lo - 1:hi], out=out)
+        np.minimum(out, prev[:, lo:hi + 1], out=out)
+        # b[j - 1] for j = d - i is b_rev[m - d + i].
+        costs = np.abs(a[lo - 1:hi] - b_rev[:, m - d + lo:m - d + hi + 1])
         if squared:
-            costs = costs * costs
-        for j in range(1, m + 1):
-            cur[j] = costs[j - 1] + min(prev[j - 1], prev[j], cur[j - 1])
-        prev, cur = cur, prev
-    return float(prev[m])
+            costs *= costs
+        np.add(costs, out, out=out)
+    dist = diags[(n + m) % 3, :, n]
+    return float(dist[0]) if b.ndim == 1 else dist.copy()
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -121,10 +142,13 @@ def match_events(stat_frame: MetricFrame, feature: str, event_frame: MetricFrame
         raise DataError("metric and event series cover different minutes over "
                         "the period; align them before matching")
 
-    rows = []
-    for name in event_frame.metric_names:
-        series = znorm(event_slice.column(name))
-        rows.append((name, dtw_distance(target, series), pearson(target, series)))
+    if not event_frame.metric_names:
+        return []
+    series = np.stack([znorm(event_slice.column(name))
+                       for name in event_frame.metric_names])
+    distances = dtw_distance(target, series)
+    rows = [(name, float(dist), pearson(target, s))
+            for name, dist, s in zip(event_frame.metric_names, distances, series)]
 
     by_dtw = sorted(rows, key=lambda r: (r[1], r[0]))
     dtw_rank = {name: i + 1 for i, (name, _, _) in enumerate(by_dtw)}

@@ -1,5 +1,6 @@
 """Diagnosis report assembly, rendering, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -102,6 +103,22 @@ class TestBuildReport:
         report, charts = build_report(scores, scenario.stats, None, model_info)
         for group in report["anomaly_periods"]:
             assert "events_by_shape" not in group or not group["events_by_shape"]
+
+    def test_non_finite_events_become_a_matching_error(self, built):
+        scenario, scores, model_info, *_ = built
+        values = scenario.events.values.copy()
+        values[:, 0] = np.nan
+        events = dataclasses.replace(scenario.events, values=values)
+        report, _ = build_report(scores, scenario.stats, events, model_info)
+        assert report["anomaly_periods"]
+        for group in report["anomaly_periods"]:
+            assert "NaN or inf" in group["event_matching_error"]
+            assert group["events_by_shape"] == []
+
+        def reject(token):
+            raise AssertionError(f"report.json holds {token}")
+
+        json.loads(report_to_json_bytes(report), parse_constant=reject)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -34,6 +34,25 @@ def dtw_by_path_enumeration(a, b):
     return walk(0, 0, 0.0)
 
 
+def dtw_by_rows(a, b, squared=False):
+    """The original row-by-row DTW loop, kept as the exact reference."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n, m = a.size, b.size
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    cur = np.empty(m + 1)
+    for i in range(1, n + 1):
+        cur[0] = np.inf
+        costs = np.abs(a[i - 1] - b)
+        if squared:
+            costs = costs * costs
+        for j in range(1, m + 1):
+            cur[j] = costs[j - 1] + min(prev[j - 1], prev[j], cur[j - 1])
+        prev, cur = cur, prev
+    return float(prev[m])
+
+
 class TestDtw:
     def test_identical_series_cost_zero(self, rng):
         x = rng.normal(size=20)
@@ -70,6 +89,44 @@ class TestDtw:
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
             dtw_distance(np.array([]), np.array([1.0]))
+        with pytest.raises(DataError):
+            dtw_distance(np.array([1.0]), np.empty((3, 0)))
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("n, m", [(80, 60), (60, 80), (45, 45), (1, 60),
+                                      (60, 1), (1, 1), (2, 3)])
+    def test_matches_row_by_row_loop_exactly(self, n, m, squared):
+        rng = np.random.default_rng(n * 1000 + m)
+        a = rng.normal(size=n)
+        b = rng.normal(size=m) * 2.0 + 0.5
+        assert dtw_distance(a, b, squared=squared) == dtw_by_rows(a, b, squared)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_stacked_rows_equal_separate_calls(self, rng, squared):
+        a = rng.normal(size=37)
+        b = rng.normal(size=(5, 23))
+        batched = dtw_distance(a, b, squared=squared)
+        assert isinstance(batched, np.ndarray) and batched.shape == (5,)
+        for row, dist in zip(b, batched):
+            single = dtw_distance(a, row, squared=squared)
+            assert isinstance(single, float)
+            assert dist == single == dtw_by_rows(a, row, squared)
+
+    def test_shapes_rejected(self):
+        with pytest.raises(DataError):
+            dtw_distance(np.ones(3), np.ones((2, 2, 3)))
+        with pytest.raises(DataError):
+            dtw_distance(np.ones((2, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        clean = np.arange(6.0)
+        dirty = clean.copy()
+        dirty[2] = bad
+        with pytest.raises(DataError, match="NaN or inf"):
+            dtw_distance(dirty, clean)
+        with pytest.raises(DataError, match="NaN or inf"):
+            dtw_distance(clean, np.stack([clean, dirty]))
 
 
 class TestPearson:
@@ -164,6 +221,12 @@ class TestMatchEvents:
         with pytest.warns(UserWarning, match="no event samples"):
             out = match_events(stat, "sessions", far, 2000, 2010)
         assert out == []
+
+    def test_frame_without_events_ranks_nothing(self, rng):
+        stat, events = frames_for_matching(rng)
+        empty = MetricFrame((), events.timestamps,
+                            np.empty((len(events.timestamps), 0)), kind="event")
+        assert match_events(stat, "sessions", empty, 2000, 2050) == []
 
     def test_period_outside_the_stat_series_rejected(self, rng):
         stat, events = frames_for_matching(rng)
