@@ -178,7 +178,6 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
 
     flat_width = window_steps * n_features
     layers: list = []
-    temporal_stack: list[TemporalNorm] = []
 
     # Trailing normalization reversals run on the structured [B, T, F] view
     # after the implicit output layer, so peel them off first.
@@ -206,9 +205,7 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
             if not structured:
                 raise ArchitectureError(
                     "temporal normalization requires the raw window view")
-            layer = TemporalNorm(n_features)
-            temporal_stack.append(layer)
-            layers.append(layer)
+            layers.append(TemporalNorm(n_features))
 
     if structured:
         layers.append(Flatten(window_steps, n_features))
@@ -219,9 +216,6 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
         if tok.kind == "bn":
             layers.append(BatchNorm(n_features, reverse=True))
         else:
-            if not temporal_stack:
-                raise ArchitectureError(
-                    "reversed temporal normalization without an encoder counterpart")
-            layers.append(TemporalNormReverse(n_features, temporal_stack.pop()))
+            layers.append(TemporalNormReverse(n_features))
 
     return Network(layers, spec.text, window_steps, n_features)

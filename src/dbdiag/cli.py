@@ -34,7 +34,7 @@ from .detector import (
 from .errors import ConfigError, DataError, DiagError, ModelError
 from .report import ReportConfig, build_report, render_text, write_report
 from .similarity import match_events
-from .spc import DEFAULT_SIGMA_K, detect, find_out_of_control, group_periods
+from .spc import DEFAULT_SIGMA_K, detect, group_periods
 from .synth import (
     ScenarioSpec,
     default_scenario,
@@ -49,22 +49,13 @@ EXIT_DATA = 3
 EXIT_MODEL = 4
 EXIT_INTERNAL = 5
 
-_SUPPRESS_CONTROL_KEYS = {"command", "config"}
+_CONTROL_KEYS = {"command", "config"}
 
 
-def _add_common(sp: argparse.ArgumentParser, suppress: bool) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     # --config supplies defaults for tuning options; explicit flags win.
-    sp.add_argument("--config", default=None if not suppress else argparse.SUPPRESS,
-                    help="JSON file of option defaults (flag names with "
-                         "underscores); explicit flags override it")
-
-
-def _opt(sp: argparse.ArgumentParser, suppress: bool, *names, default=None, **kw):
-    if suppress:
-        kw["default"] = argparse.SUPPRESS
-    else:
-        kw["default"] = default
-    sp.add_argument(*names, **kw)
+    sp.add_argument("--config", help="JSON file of option defaults (flag names with "
+                                     "underscores); explicit flags override it")
 
 
 def _split_type(text: str) -> tuple[float, float, float]:
@@ -78,7 +69,8 @@ def _split_type(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad split fractions {text!r}") from None
 
 
-def _build_parser(suppress: bool = False) -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser plus its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="dbdiag",
         description="Anomaly-period detection and wait-event ranking for "
@@ -87,56 +79,56 @@ def _build_parser(suppress: bool = False) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a labeled synthetic scenario")
     sp.add_argument("--out-dir", required=True, help="directory for the CSVs and labels")
-    _opt(sp, suppress, "--seed", type=int, default=None)
-    _opt(sp, suppress, "--duration", type=int, default=None,
-         help="scenario length in minutes")
-    _opt(sp, suppress, "--null", action="store_true", default=False,
-         help="no injections (clean baseline)")
-    _opt(sp, suppress, "--drift", action="store_true", default=False,
-         help="add per-feature level drift (non-stationary variant)")
-    _opt(sp, suppress, "--spec", default=None,
-         help="scenario JSON (mutually exclusive with the other knobs)")
-    _add_common(sp, suppress)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--duration", type=int,
+                    help="scenario length in minutes")
+    sp.add_argument("--null", action="store_true",
+                    help="no injections (clean baseline)")
+    sp.add_argument("--drift", action="store_true",
+                    help="add per-feature level drift (non-stationary variant)")
+    sp.add_argument("--spec",
+                    help="scenario JSON (mutually exclusive with the other knobs)")
+    _add_common(sp)
 
     sp = sub.add_parser("train", help="fit a detector on a metric CSV")
     sp.add_argument("--stats", required=True, help="metric CSV to train on")
     sp.add_argument("--model", required=True, help="output model JSON path")
-    _opt(sp, suppress, "--architecture", default=SELECTED_ARCHITECTURE)
-    _opt(sp, suppress, "--window", type=int, default=30,
-         help="window length in minutes")
-    _opt(sp, suppress, "--stride", type=int, default=1)
-    _opt(sp, suppress, "--learning-rate", type=float, default=0.001)
-    _opt(sp, suppress, "--l2-lambda", type=float, default=0.001)
-    _opt(sp, suppress, "--batch-size", type=int, default=1500)
-    _opt(sp, suppress, "--epochs", type=int, default=200, help="epoch cap")
-    _opt(sp, suppress, "--patience", type=int, default=20,
-         help="early-stop patience in epochs")
-    _opt(sp, suppress, "--seed", type=int, default=0)
-    _opt(sp, suppress, "--split", type=_split_type, default=(0.6, 0.2, 0.2),
-         help="train,val,test fractions")
-    _opt(sp, suppress, "--history", default=None,
-         help="also write per-epoch history JSON here")
-    _opt(sp, suppress, "--verbose", action="store_true", default=False)
-    _add_common(sp, suppress)
+    sp.add_argument("--architecture", default=SELECTED_ARCHITECTURE)
+    sp.add_argument("--window", type=int, default=30,
+                    help="window length in minutes")
+    sp.add_argument("--stride", type=int, default=1)
+    sp.add_argument("--learning-rate", type=float, default=0.001)
+    sp.add_argument("--l2-lambda", type=float, default=0.001)
+    sp.add_argument("--batch-size", type=int, default=1500)
+    sp.add_argument("--epochs", type=int, default=200, help="epoch cap")
+    sp.add_argument("--patience", type=int, default=20,
+                    help="early-stop patience in epochs")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--split", type=_split_type, default=(0.6, 0.2, 0.2),
+                    help="train,val,test fractions")
+    sp.add_argument("--history",
+                    help="also write per-epoch history JSON here")
+    sp.add_argument("--verbose", action="store_true")
+    _add_common(sp)
 
     sp = sub.add_parser("score", help="score a metric CSV with a trained model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--stats", required=True)
     sp.add_argument("--out", required=True, help="output scores JSON")
-    _opt(sp, suppress, "--csv", default=None, help="also write scores as CSV")
-    _opt(sp, suppress, "--stride", type=int, default=1)
-    _add_common(sp, suppress)
+    sp.add_argument("--csv", help="also write scores as CSV")
+    sp.add_argument("--stride", type=int, default=1)
+    _add_common(sp)
 
     sp = sub.add_parser("detect", help="find anomaly periods in a score series")
     sp.add_argument("--scores", required=True, help="scores JSON from 'score'")
     sp.add_argument("--out", required=True, help="output detections JSON")
-    _opt(sp, suppress, "--sigma", type=float, default=DEFAULT_SIGMA_K,
-         help="control-limit multiplier")
-    _opt(sp, suppress, "--gap-tolerance", type=int, default=0,
-         help="unflagged windows allowed inside one period")
-    _opt(sp, suppress, "--baseline", default=None,
-         help="fit limits on this scores JSON instead of the scored series")
-    _add_common(sp, suppress)
+    sp.add_argument("--sigma", type=float, default=DEFAULT_SIGMA_K,
+                    help="control-limit multiplier")
+    sp.add_argument("--gap-tolerance", type=int, default=0,
+                    help="unflagged windows allowed inside one period")
+    sp.add_argument("--baseline",
+                    help="fit limits on this scores JSON instead of the scored series")
+    _add_common(sp)
 
     sp = sub.add_parser("match", help="rank wait events against a metric over a period")
     sp.add_argument("--stats", required=True)
@@ -146,45 +138,49 @@ def _build_parser(suppress: bool = False) -> argparse.ArgumentParser:
                     help="period start (ISO-8601 or epoch seconds)")
     sp.add_argument("--end", required=True,
                     help="period end, exclusive (ISO-8601 or epoch seconds)")
-    _opt(sp, suppress, "--margin", type=int, default=0,
-         help="extra minutes after the period")
-    _opt(sp, suppress, "--top", type=int, default=10)
-    _opt(sp, suppress, "--out", default=None, help="write matches JSON here")
-    _add_common(sp, suppress)
+    sp.add_argument("--margin", type=int, default=0,
+                    help="extra minutes after the period")
+    sp.add_argument("--top", type=int, default=10)
+    sp.add_argument("--out", help="write matches JSON here")
+    _add_common(sp)
 
     sp = sub.add_parser("report", help="full diagnosis: score, detect, rank, chart")
     sp.add_argument("--model", required=True)
     sp.add_argument("--stats", required=True)
     sp.add_argument("--out-dir", required=True)
-    _opt(sp, suppress, "--events", default=None, help="wait-event CSV")
-    _opt(sp, suppress, "--sigma", type=float, default=DEFAULT_SIGMA_K)
-    _opt(sp, suppress, "--gap-tolerance", type=int, default=0)
-    _opt(sp, suppress, "--top-periods", type=int, default=5)
-    _opt(sp, suppress, "--top-events", type=int, default=5)
-    _opt(sp, suppress, "--margin", type=int, default=0)
-    _opt(sp, suppress, "--stride", type=int, default=1)
-    _opt(sp, suppress, "--quiet", action="store_true", default=False)
-    _add_common(sp, suppress)
+    sp.add_argument("--events", help="wait-event CSV")
+    sp.add_argument("--sigma", type=float, default=DEFAULT_SIGMA_K)
+    sp.add_argument("--gap-tolerance", type=int, default=0)
+    sp.add_argument("--top-periods", type=int, default=5)
+    sp.add_argument("--top-events", type=int, default=5)
+    sp.add_argument("--margin", type=int, default=0)
+    sp.add_argument("--stride", type=int, default=1)
+    sp.add_argument("--quiet", action="store_true")
+    _add_common(sp)
 
     sp = sub.add_parser("ablate", help="train several architectures on one data set")
     sp.add_argument("--stats", required=True)
-    _opt(sp, suppress, "--architectures", default=None,
-         help="semicolon-separated list (default: the built-in comparison set)")
-    _opt(sp, suppress, "--window", type=int, default=30)
-    _opt(sp, suppress, "--learning-rate", type=float, default=0.001)
-    _opt(sp, suppress, "--l2-lambda", type=float, default=0.001)
-    _opt(sp, suppress, "--batch-size", type=int, default=1500)
-    _opt(sp, suppress, "--epochs", type=int, default=200)
-    _opt(sp, suppress, "--patience", type=int, default=20)
-    _opt(sp, suppress, "--seed", type=int, default=0)
-    _opt(sp, suppress, "--out", default=None, help="write results JSON here")
-    _add_common(sp, suppress)
+    sp.add_argument("--architectures",
+                    help="semicolon-separated list (default: the built-in comparison set)")
+    sp.add_argument("--window", type=int, default=30)
+    sp.add_argument("--learning-rate", type=float, default=0.001)
+    sp.add_argument("--l2-lambda", type=float, default=0.001)
+    sp.add_argument("--batch-size", type=int, default=1500)
+    sp.add_argument("--epochs", type=int, default=200)
+    sp.add_argument("--patience", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", help="write results JSON here")
+    _add_common(sp)
 
-    return parser
+    return parser, sub.choices
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    path = getattr(args, "config", None)
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  command: argparse.ArgumentParser, argv: list[str]
+                  ) -> argparse.Namespace:
+    """Re-parse ``argv`` with the config file's values as the defaults of
+    ``command``, so explicit flags still win."""
+    path = args.config
     if not path:
         return args
     try:
@@ -197,18 +193,15 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
 
-    allowed = set(vars(args)) - _SUPPRESS_CONTROL_KEYS
+    allowed = set(vars(args)) - _CONTROL_KEYS
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"config {path} has unknown option(s) for "
                           f"'{args.command}': {', '.join(sorted(unknown))}")
-    explicit = vars(_build_parser(suppress=True).parse_args(argv))
-    for key, value in cfg.items():
-        if key not in explicit:
-            if key == "split" and isinstance(value, list):
-                value = tuple(float(v) for v in value)
-            setattr(args, key, value)
-    return args
+    if isinstance(cfg.get("split"), list):
+        cfg["split"] = tuple(float(v) for v in cfg["split"])
+    command.set_defaults(**cfg)
+    return parser.parse_args(argv)
 
 
 def _cmd_gen(args) -> int:
@@ -297,8 +290,7 @@ def _cmd_detect(args) -> int:
         "gap_tolerance": args.gap_tolerance,
         "charts": {
             name: {**chart.to_dict(),
-                   "flagged_windows": int(find_out_of_control(
-                       scores.column(name), chart).size)}
+                   "flagged_windows": int(result.flagged[name].size)}
             for name, chart in result.charts.items()},
         "feature_periods": {name: [p.to_dict() for p in plist]
                             for name, plist in result.periods.items()},
@@ -413,12 +405,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        args = _merge_config(args, argv)
+        try:
+            args = parser.parse_args(argv)
+            args = _merge_config(args, parser, commands[args.command], argv)
+        except SystemExit as exc:  # argparse's own exit: help or a bad value
+            return int(exc.code or 0)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -110,7 +110,7 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate metric names in header")
 
-        stamps, rows = [], []
+        stamps, rows, row_nos = [], [], []
         # row numbers are file line numbers (header is line 1)
         for row_no, row in enumerate(reader, start=2):
             if not row:
@@ -119,6 +119,7 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
                 raise DataError(f"{path}: row {row_no} has {len(row)} fields, "
                                 f"expected {len(names) + 1}")
             stamps.append(_parse_timestamp(row[0], row_no))
+            row_nos.append(row_no)
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
@@ -127,9 +128,15 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
                                 ) from None
     if not rows:
         raise DataError(f"{path}: no data rows")
+    vals = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"{path}: non-finite value {float(vals[i, j])} in row "
+                        f"{row_nos[i]}, column {names[j]!r}")
     order = np.argsort(np.asarray(stamps, dtype=np.int64), kind="stable")
     ts = np.asarray(stamps, dtype=np.int64)[order]
-    vals = np.asarray(rows, dtype=np.float64)[order]
+    vals = vals[order]
     dup = np.nonzero(np.diff(ts) == 0)[0]
     if dup.size:
         raise DataError(f"{path}: duplicate timestamp at epoch minute {int(ts[dup[0]])}")

@@ -49,4 +49,4 @@ class ModelIOError(ModelError):
 
 class InternalError(DiagError):
     """Invariant violation inside the package (backward before forward,
-    missing paired normalization state). Indicates a bug, not user error."""
+    state that does not match the network). Indicates a bug, not user error."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import ReLU
+from .layers import ReLU, TemporalNorm, TemporalNormReverse
 from .losses import mse_loss, mse_loss_grad
 from .network import Network
 
@@ -76,9 +76,13 @@ def min_kink_distance(net: Network, x: np.ndarray) -> float:
     smallest = np.inf
     out = x
     for layer in net.layers:
+        if isinstance(layer, TemporalNormReverse):
+            break  # closes the stack; no ReLU follows it
         if isinstance(layer, ReLU):
             smallest = min(smallest, float(np.abs(out).min()))
         out = layer.forward(out, training=True)
+        if isinstance(layer, TemporalNorm):
+            out, _ = out
     return smallest
 
 

@@ -2,10 +2,10 @@
 
 Everything is float64 numpy. Each layer caches whatever its backward pass
 needs during a ``forward(..., training=True)`` call and exposes trainable
-parameters and their gradients as name -> array dicts. Forward passes with
-``training=False`` never mutate trainable state (batch-stat layers switch to
-their running statistics), so inference is safe to run concurrently on a
-shared model.
+parameters and their gradients as name -> array dicts. No layer writes any
+state in a ``training=False`` forward pass (batch-stat layers read their
+running statistics, and the temporal-norm pair hands its moments over as
+values), so inference is safe to run concurrently on a shared model.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class Reshape(Layer):
 
 def _moment_backward(d_norm, norm, denom, std, d_mean, d_std, count, axes):
     """Input gradient of z-normalization given upstream grad wrt the
-    normalized values plus any externally accumulated grads wrt the moments.
+    normalized values plus any external grads wrt the moments.
 
     ``denom = std + eps`` divides the centered values, ``count`` is the number
     of elements each (mean, std) pair was computed over, ``axes`` the reduced
@@ -163,8 +163,12 @@ class TemporalNorm(Layer):
     deviation ~1 regardless of where in the original series it was cut,
     which is what lets one model handle level shifts and trends. Uses the
     population std plus ``epsilon`` (added to the std, not the variance), so
-    constant series map to 0 instead of failing. The per-sample moments are
-    kept for the paired denormalizing layer at the decoder end.
+    constant series map to 0 instead of failing.
+
+    ``forward`` returns ``(out, (mean, denom))``: the per-sample moments, each
+    [batch, 1, F], go to the paired ``TemporalNormReverse`` at the decoder
+    end. ``backward`` takes ``(grad, (d_mean, d_denom))``, the upstream grad
+    plus the gradients wrt those moments that the reverse layer returned.
     """
 
     label = "btn"
@@ -175,11 +179,7 @@ class TemporalNorm(Layer):
         self.gamma = np.ones(n_features)
         self.beta = np.zeros(n_features)
         self.epsilon = epsilon
-        self.last_mean = None   # [batch, 1, F], read by the paired reverse layer
-        self.last_std = None
         self._cache = None
-        self._ext_d_mean = None  # accumulated by the paired reverse's backward
-        self._ext_d_std = None
         self.d_gamma = None
         self.d_beta = None
 
@@ -193,24 +193,19 @@ class TemporalNorm(Layer):
         std = x.std(axis=1, keepdims=True)
         denom = std + self.epsilon
         norm = (x - mean) / denom
-        self.last_mean = mean
-        self.last_std = std
         if training:
             self._cache = (norm, std, denom, x.shape[1])
-            self._ext_d_mean = None
-            self._ext_d_std = None
-        return self.gamma * norm + self.beta
+        return self.gamma * norm + self.beta, (mean, denom)
 
     def backward(self, grad):
         if self._cache is None:
             raise InternalError("temporal norm backward called before a training forward pass")
+        grad, (d_mean, d_denom) = grad
         norm, std, denom, steps = self._cache
         self.d_gamma = (grad * norm).sum(axis=(0, 1))
         self.d_beta = grad.sum(axis=(0, 1))
         d_norm = grad * self.gamma
-        d_mean = self._ext_d_mean if self._ext_d_mean is not None else 0.0
-        d_std = self._ext_d_std if self._ext_d_std is not None else 0.0
-        return _moment_backward(d_norm, norm, denom, std, d_mean, d_std, steps, axes=1)
+        return _moment_backward(d_norm, norm, denom, std, d_mean, d_denom, steps, axes=1)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -223,31 +218,24 @@ class TemporalNormReverse(Layer):
     """Decoder end of a temporal-norm pair.
 
     Applies its own trainable scale/offset, then restores each sample's
-    original per-feature level and spread using the moments the paired
-    encoder layer saved during the same forward pass. During backward it
-    routes the gradients wrt those moments back to the paired layer so
-    input gradients stay exact.
+    original per-feature level and spread. ``forward`` takes
+    ``(x, (mean, denom))``, the moments its paired ``TemporalNorm`` returned
+    in the same pass. ``backward`` returns ``(dx, (d_mean, d_denom))``; the
+    paired layer folds the moment gradients into its input gradient, which
+    keeps input gradients exact.
     """
 
     label = "btn_reverse"
 
-    def __init__(self, n_features: int, paired: TemporalNorm):
+    def __init__(self, n_features: int):
         self.gamma = np.ones(n_features)
         self.beta = np.zeros(n_features)
-        self.paired = paired
         self._cache = None
         self.d_gamma = None
         self.d_beta = None
 
     def forward(self, x, training=False):
-        mean, std = self.paired.last_mean, self.paired.last_std
-        if mean is None:
-            raise InternalError("paired temporal-norm moments missing; encoder layer "
-                                "did not run in this forward pass")
-        if x.shape != (mean.shape[0], x.shape[1], mean.shape[2]):
-            raise InternalError(
-                f"paired moments {mean.shape} do not match activations {x.shape}")
-        denom = std + self.paired.epsilon
+        x, (mean, denom) = x
         scaled = self.gamma * x + self.beta
         if training:
             self._cache = (x, scaled, denom)
@@ -260,15 +248,9 @@ class TemporalNormReverse(Layer):
         x, scaled, denom = self._cache
         self.d_gamma = (grad * x * denom).sum(axis=(0, 1))
         self.d_beta = (grad * denom).sum(axis=(0, 1))
-        ext_mean = grad.sum(axis=1, keepdims=True)
-        ext_std = (grad * scaled).sum(axis=1, keepdims=True)
-        if self.paired._ext_d_mean is None:
-            self.paired._ext_d_mean = ext_mean
-            self.paired._ext_d_std = ext_std
-        else:
-            self.paired._ext_d_mean = self.paired._ext_d_mean + ext_mean
-            self.paired._ext_d_std = self.paired._ext_d_std + ext_std
-        return grad * self.gamma * denom
+        d_moments = (grad.sum(axis=1, keepdims=True),
+                     (grad * scaled).sum(axis=1, keepdims=True))
+        return grad * self.gamma * denom, d_moments
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}

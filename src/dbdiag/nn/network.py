@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InternalError
-from .layers import BatchNorm, Layer
+from .layers import BatchNorm, Layer, TemporalNorm, TemporalNormReverse
 
 
 class Network:
@@ -26,9 +26,18 @@ class Network:
         self._forward_was_training = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        # Each TemporalNorm's moments go, last in first out, to the
+        # TemporalNormReverse that closes its pair; backward routes the
+        # moment gradients the other way.
         out = x
+        moments = []
         for layer in self.layers:
+            if isinstance(layer, TemporalNormReverse):
+                out = (out, moments.pop())
             out = layer.forward(out, training=training)
+            if isinstance(layer, TemporalNorm):
+                out, m = out
+                moments.append(m)
         self._forward_was_training = training
         return out
 
@@ -36,8 +45,14 @@ class Network:
         if not self._forward_was_training:
             raise InternalError("backward requires a preceding training-mode forward pass")
         out = grad
+        d_moments = []
         for layer in reversed(self.layers):
+            if isinstance(layer, TemporalNorm):
+                out = (out, d_moments.pop())
             out = layer.backward(out)
+            if isinstance(layer, TemporalNormReverse):
+                out, d = out
+                d_moments.append(d)
         return out
 
     def parameters(self) -> dict[str, np.ndarray]:

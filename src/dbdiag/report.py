@@ -19,7 +19,7 @@ from .data import MetricFrame, minute_to_iso
 from .detector import ScoreSeries
 from .errors import ConfigError, DataError
 from .similarity import match_events
-from .spc import DEFAULT_SIGMA_K, detect, find_out_of_control, group_periods
+from .spc import DEFAULT_SIGMA_K, detect, group_periods
 
 REPORT_FORMAT = "dbdiag-report"
 FORMAT_VERSION = 1
@@ -77,7 +77,7 @@ def build_report(scores: ScoreSeries, stat_frame: MetricFrame,
     chart_meta = {}
     for j, name in enumerate(scores.feature_names):
         chart = result.charts[name]
-        flagged = find_out_of_control(scores.scores[:, j], chart)
+        flagged = result.flagged[name]
         fname = f"chart_{name}.svg"
         charts[fname] = control_chart_svg(scores.scores[:, j], scores.window_starts,
                                           chart, flagged)

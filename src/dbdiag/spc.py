@@ -10,7 +10,7 @@ caught by many overlapping windows reports as one period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,15 +125,14 @@ def merge_periods(flagged: np.ndarray, scores: np.ndarray,
             peak_window_start=int(window_starts[peak_pos]),
         ))
     periods.sort(key=lambda p: (-p.peak_score, p.start))
-    return [AnomalyPeriod(p.feature, p.start, p.end, p.peak_score,
-                          p.peak_window_start, rank=i + 1)
-            for i, p in enumerate(periods)]
+    return [replace(p, rank=i + 1) for i, p in enumerate(periods)]
 
 
 @dataclass
 class DetectionResult:
     charts: dict[str, ControlChart]
     periods: dict[str, list[AnomalyPeriod]]
+    flagged: dict[str, np.ndarray]    # out-of-control window indices per feature
 
     def all_periods(self) -> list[AnomalyPeriod]:
         out = [p for plist in self.periods.values() for p in plist]
@@ -154,15 +153,16 @@ def detect(scores: ScoreSeries, k: float = DEFAULT_SIGMA_K, gap_tolerance: int =
             f"scored features [{', '.join(scores.feature_names)}]")
     charts = {}
     periods = {}
+    flagged = {}
     for j, name in enumerate(scores.feature_names):
         ref = baseline.scores[:, j] if baseline is not None else scores.scores[:, j]
         chart = fit_chart(ref, name, k)
-        flagged = find_out_of_control(scores.scores[:, j], chart)
         charts[name] = chart
-        periods[name] = merge_periods(flagged, scores.scores[:, j],
+        flagged[name] = find_out_of_control(scores.scores[:, j], chart)
+        periods[name] = merge_periods(flagged[name], scores.scores[:, j],
                                       scores.window_starts, scores.window_steps,
                                       name, gap_tolerance)
-    return DetectionResult(charts, periods)
+    return DetectionResult(charts, periods, flagged)
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,4 @@ def group_periods(result: DetectionResult) -> list[PeriodGroup]:
             members=tuple(sorted(members, key=lambda p: (-p.peak_score, p.feature))),
         ))
     fused.sort(key=lambda g: (-g.peak_score, g.start))
-    return [PeriodGroup(g.start, g.end, g.features, g.primary_feature,
-                        g.peak_score, i + 1, g.members)
-            for i, g in enumerate(fused)]
+    return [replace(g, rank=i + 1) for i, g in enumerate(fused)]

@@ -108,7 +108,7 @@ def test_criterion_2_stationarization(acceptance):
         # guard the precondition: no constant (sample, feature) series
         if np.any(x.std(axis=1) == 0.0):
             continue
-        out = TemporalNorm(feats).forward(x)
+        out, _ = TemporalNorm(feats).forward(x)
         worst_mean = max(worst_mean, float(np.abs(out.mean(axis=1)).max()))
         worst_std = max(worst_std, float(np.abs(out.std(axis=1) - 1.0).max()))
     acceptance(2, "per-window stationarization",

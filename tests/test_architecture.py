@@ -74,10 +74,16 @@ class TestAssembly:
         assert labels[-2:] == ["dense_out", "reshape"]
 
     def test_paired_temporal_layers_share_moments(self):
-        net = build("BTN-(8)-(4)-(8*)-BTN*")
-        first = net.layers[0]
-        last = net.layers[-1]
-        assert last.paired is first
+        # with identity dense layers in between, BTN* must restore exactly
+        # the level and spread that BTN removed from each window
+        net = build("PCA-network (18) with BTN")
+        for name, p in net.parameters().items():
+            if name.endswith(".weights"):
+                p[...] = np.eye(18)
+        x = np.random.default_rng(1).normal(size=(5, 6, 3)) * 40.0 + 700.0
+        for training in (False, True):
+            np.testing.assert_allclose(net.forward(x, training=training), x,
+                                       rtol=1e-12)
 
     def test_linear_variant_has_no_activations(self):
         labels = [l.label for l in build("PCA-network (4)").layers]

@@ -61,6 +61,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cpu_used" in err and "a, b" in err
 
+    def test_non_finite_metric_is_data_error(self, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("timestamp,a\n"
+                         "2023-01-01T00:00:00Z,1.0\n"
+                         "2023-01-01T00:01:00Z,nan\n")
+        rc = main(["train", "--stats", str(stats),
+                   "--model", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert "non-finite value nan in row 3, column 'a'" in capsys.readouterr().err
+
     def test_null_and_spec_conflict_is_usage(self, tmp_path, capsys):
         rc = main(["gen", "--out-dir", str(tmp_path), "--null",
                    "--spec", "x.json"])
@@ -187,6 +197,16 @@ class TestConfigFile:
                      "--config", str(cfg), "--epochs", "4", "--patience", "4",
                      "--history", hist]) == 0
         assert len(json.loads(open(hist).read())) == 4
+
+    def test_explicit_flag_at_its_default_beats_config(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 2.5}))
+        out = str(tmp_path / "report")
+        assert main(["report", "--model", pipeline["model"],
+                     "--stats", pipeline["stats"], "--out-dir", out,
+                     "--config", str(cfg), "--sigma", "3"]) == 0
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        assert doc["config"]["sigma_k"] == 3.0
 
     def test_unknown_config_key_is_usage(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

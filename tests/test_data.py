@@ -89,6 +89,20 @@ class TestLoadMetrics:
         with pytest.raises(DataError, match="row 3"):
             load_metrics(str(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, bad, tmp_path):
+        # rows arrive out of order, so the row named is the file's, not the
+        # sorted position
+        path = tmp_path / "m.csv"
+        path.write_text("timestamp,a,b\n"
+                        "2023-01-01T00:02:00Z,1.0,2.0\n"
+                        "\n"
+                        f"2023-01-01T00:00:00Z,3.0,{bad}\n"
+                        "2023-01-01T00:01:00Z,4.0,5.0\n")
+        with pytest.raises(DataError, match=f"m.csv: non-finite value {bad} "
+                                            f"in row 4, column 'b'"):
+            load_metrics(str(path))
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("time,a\n2023-01-01T00:00:00Z,1.0\n")

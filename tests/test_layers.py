@@ -1,8 +1,12 @@
 """Forward-pass behavior of the network layers."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from dbdiag import build_network, parse_architecture
 from dbdiag.errors import ConfigError, InternalError
 from dbdiag.nn import (
     BatchNorm,
@@ -101,14 +105,14 @@ class TestShapeLayers:
 class TestTemporalNorm:
     def test_hand_case(self):
         layer = TemporalNorm(1)
-        out = layer.forward(np.array([[[1.0], [2.0], [3.0]]]))
+        out, _ = layer.forward(np.array([[[1.0], [2.0], [3.0]]]))
         np.testing.assert_allclose(out[0, :, 0], [-1.2247, 0.0, 1.2247],
                                    atol=1e-4)
 
     def test_every_window_leaves_standardized(self, rng):
         layer = TemporalNorm(4)
         x = rng.normal(size=(8, 30, 4)) * 7.0 + 300.0
-        out = layer.forward(x)
+        out, _ = layer.forward(x)
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-4)
 
@@ -117,21 +121,21 @@ class TestTemporalNorm:
         layer = TemporalNorm(2)
         x = rng.normal(size=(3, 20, 2))
         shifted = 50.0 * x - 1e4
-        np.testing.assert_allclose(layer.forward(x), layer.forward(shifted),
+        np.testing.assert_allclose(layer.forward(x)[0], layer.forward(shifted)[0],
                                    atol=1e-4)
 
     def test_constant_window_maps_to_beta(self):
         layer = TemporalNorm(1)
         layer.beta[:] = 0.25
-        out = layer.forward(np.full((1, 10, 1), 42.0))
+        out, _ = layer.forward(np.full((1, 10, 1), 42.0))
         np.testing.assert_allclose(out, 0.25)
 
-    def test_moments_saved_for_pairing(self, rng):
-        layer = TemporalNorm(3)
+    def test_moments_returned_for_pairing(self, rng):
+        layer = TemporalNorm(3, epsilon=1e-3)
         x = rng.normal(size=(2, 6, 3))
-        layer.forward(x, training=False)
-        np.testing.assert_allclose(layer.last_mean, x.mean(axis=1, keepdims=True))
-        np.testing.assert_allclose(layer.last_std, x.std(axis=1, keepdims=True))
+        _, (mean, denom) = layer.forward(x, training=False)
+        np.testing.assert_allclose(mean, x.mean(axis=1, keepdims=True))
+        np.testing.assert_allclose(denom, x.std(axis=1, keepdims=True) + 1e-3)
 
     def test_short_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -145,27 +149,14 @@ class TestTemporalNorm:
 class TestTemporalNormReverse:
     def test_undoes_the_paired_layer(self, rng):
         fwd = TemporalNorm(3)
-        rev = TemporalNormReverse(3, paired=fwd)
+        rev = TemporalNormReverse(3)
         x = rng.normal(size=(4, 12, 3)) * 9.0 + 120.0
         restored = rev.forward(fwd.forward(x))
         np.testing.assert_allclose(restored, x, atol=1e-9)
 
-    def test_needs_encoder_moments(self, rng):
-        rev = TemporalNormReverse(2, paired=TemporalNorm(2))
-        with pytest.raises(InternalError):
-            rev.forward(rng.normal(size=(1, 5, 2)))
-
-    def test_batch_mismatch_rejected(self, rng):
-        fwd = TemporalNorm(2)
-        rev = TemporalNormReverse(2, paired=fwd)
-        fwd.forward(rng.normal(size=(3, 5, 2)))
-        with pytest.raises(InternalError):
-            rev.forward(rng.normal(size=(2, 5, 2)))
-
     def test_backward_needs_training_forward(self, rng):
-        fwd = TemporalNorm(2)
-        rev = TemporalNormReverse(2, paired=fwd)
-        rev.forward(fwd.forward(rng.normal(size=(1, 5, 2))))
+        rev = TemporalNormReverse(2)
+        rev.forward(TemporalNorm(2).forward(rng.normal(size=(1, 5, 2))))
         with pytest.raises(InternalError):
             rev.backward(np.zeros((1, 5, 2)))
 
@@ -208,3 +199,34 @@ class TestBatchNorm:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             BatchNorm(2).forward(np.zeros((1, 3)), training=True)
+
+
+def test_concurrent_inference_on_a_shared_network(rng):
+    """Two threads scoring through one model must each get their own result.
+
+    The temporal-norm pair hands its per-window moments from BTN to BTN*; if
+    they passed through layer state, one thread would restore its windows
+    with the other thread's levels and get a silently wrong output.
+    """
+    net = build_network(parse_architecture("BTN-(12)-(4)-(12*)-BTN*"), 10, 3, rng)
+    inputs = [rng.normal(size=(4, 10, 3)) * 5.0 + 100.0 * (i + 1) for i in range(2)]
+    expected = [net.forward(x) for x in inputs]
+    wrong = [0, 0]
+
+    def run(i):
+        for _ in range(500):
+            if not np.array_equal(net.forward(inputs[i]), expected[i]):
+                wrong[i] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [0, 0]
