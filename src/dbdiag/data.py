@@ -3,16 +3,18 @@
 Metrics arrive as CSV with a ``timestamp`` column plus one column per metric.
 Timestamps are parsed to epoch minutes and must land exactly on minute
 boundaries; rows are sorted, duplicates rejected. Gaps are allowed in the
-file and are respected later: windows never span a gap.
+file and are respected later: windows never span a gap. Windows are read-only
+views of the frame's values; a frame with gaps makes one gathered copy.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -205,7 +207,7 @@ class GlobalNorm:
 class WindowSet:
     """Sliding windows cut from a frame, with their start positions."""
 
-    windows: np.ndarray            # [n, window_steps, features]
+    windows: np.ndarray            # [n, window_steps, features]; view if no gap
     start_indices: np.ndarray      # int64, row index into the source frame
     start_timestamps: np.ndarray   # int64 epoch minutes
     window_steps: int
@@ -222,28 +224,24 @@ def make_windows(frame: MetricFrame, window_steps: int = DEFAULT_WINDOW_STEPS,
     The frame is first segmented at timestamp gaps (any jump of more than one
     minute) so no window mixes samples from both sides of an outage. Segments
     shorter than one window contribute nothing; if every segment is too
-    short, that is an error.
+    short, that is an error. Without a gap the windows are a read-only view
+    of ``frame.values``; with gaps they are gathered into one copy.
     """
     if window_steps < 2:
         raise ConfigError(f"window_steps must be at least 2, got {window_steps}")
     if stride < 1:
         raise ConfigError(f"stride must be at least 1, got {stride}")
     breaks = np.nonzero(np.diff(frame.timestamps) != 1)[0] + 1
-    segments = np.split(np.arange(len(frame.timestamps)), breaks)
-
-    chunks, starts = [], []
-    for seg in segments:
-        n = len(seg) - window_steps + 1
-        for off in range(0, max(n, 0), stride):
-            idx = seg[off]
-            chunks.append(frame.values[idx:idx + window_steps])
-            starts.append(idx)
-    if not chunks:
+    bounds = np.concatenate(([0], breaks, [len(frame.timestamps)]))
+    starts = np.concatenate([np.arange(a, b - window_steps + 1, stride, dtype=np.int64)
+                             for a, b in zip(bounds[:-1], bounds[1:])])
+    if starts.size == 0:
         raise DataError(
             f"no segment is long enough for a {window_steps}-minute window "
-            f"(longest run: {max(len(s) for s in segments)} minutes)")
-    start_idx = np.asarray(starts, dtype=np.int64)
-    return WindowSet(np.stack(chunks), start_idx, frame.timestamps[start_idx],
+            f"(longest run: {int(np.diff(bounds).max())} minutes)")
+    view = sliding_window_view(frame.values, window_steps, axis=0).swapaxes(1, 2)
+    windows = view[::stride] if breaks.size == 0 else view[starts]
+    return WindowSet(windows, starts, frame.timestamps[starts],
                      window_steps, frame.metric_names)
 
 
@@ -252,7 +250,6 @@ class SplitWindows:
     train: WindowSet
     val: WindowSet
     test: WindowSet
-    fractions: tuple[float, float, float] = field(default=(0.6, 0.2, 0.2))
 
 
 def split_windows(windows: WindowSet,
@@ -282,4 +279,4 @@ def split_windows(windows: WindowSet,
                          windows.feature_names)
 
     return SplitWindows(cut(0, n_train), cut(n_train, n_train + n_val),
-                        cut(n_train + n_val, n), tuple(fractions))
+                        cut(n_train + n_val, n))

@@ -29,7 +29,7 @@ from .data import (
     minute_to_iso,
     split_windows,
 )
-from .errors import ConfigError, DataError, ModelIOError, TrainingError
+from .errors import ConfigError, DataError, InternalError, ModelIOError, TrainingError
 from .nn import Adam, Network, mse_loss_grad
 
 MODEL_FORMAT = "dbdiag-model"
@@ -166,7 +166,8 @@ def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
     """[n, T, F] normalized windows -> [n, F] time-averaged squared errors."""
     parts = []
     for start in range(0, windows.shape[0], _SCORE_CHUNK):
-        chunk = windows[start:start + _SCORE_CHUNK]
+        # windows may be an overlapping view, which BLAS cannot take
+        chunk = np.ascontiguousarray(windows[start:start + _SCORE_CHUNK])
         recon = network.forward(chunk, training=False)
         resid = recon - chunk
         parts.append((resid * resid).mean(axis=1))
@@ -188,28 +189,26 @@ class Detector:
     def architecture(self) -> str:
         return self.network.arch_text
 
+    def _check_features(self, names: tuple[str, ...]) -> None:
+        if tuple(names) != self.feature_names:
+            raise DataError(f"feature names do not match the model: expected "
+                            f"[{', '.join(self.feature_names)}], got [{', '.join(names)}]")
+
     def score_windows(self, windows: WindowSet, normalized: bool = False) -> ScoreSeries:
         if windows.window_steps != self.window_steps:
             raise DataError(f"windows span {windows.window_steps} steps but the model "
                             f"was trained on {self.window_steps}")
-        if tuple(windows.feature_names) != self.feature_names:
-            raise DataError(
-                f"feature names do not match the model: expected "
-                f"[{', '.join(self.feature_names)}], got "
-                f"[{', '.join(windows.feature_names)}]")
+        self._check_features(windows.feature_names)
         data = windows.windows if normalized else self.norm.apply(windows.windows)
         scores = _score_window_array(self.network, data)
         return ScoreSeries(scores, windows.start_timestamps.copy(),
                            self.window_steps, self.feature_names)
 
     def score_frame(self, frame: MetricFrame, stride: int = 1) -> ScoreSeries:
-        if tuple(frame.metric_names) != self.feature_names:
-            raise DataError(
-                f"feature names do not match the model: expected "
-                f"[{', '.join(self.feature_names)}], got "
-                f"[{', '.join(frame.metric_names)}]")
-        windows = make_windows(frame, self.window_steps, stride)
-        return self.score_windows(windows)
+        self._check_features(frame.metric_names)  # before norm.apply can broadcast
+        normed = replace(frame, values=self.norm.apply(frame.values))
+        windows = make_windows(normed, self.window_steps, stride)
+        return self.score_windows(windows, normalized=True)
 
 
 @dataclass
@@ -248,8 +247,7 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     """
     config = config or TrainConfig()
     norm = GlobalNorm.fit(frame)
-    normed = MetricFrame(frame.metric_names, frame.timestamps,
-                         norm.apply(frame.values), frame.kind)
+    normed = replace(frame, values=norm.apply(frame.values))
     windows = make_windows(normed, config.window_steps, config.stride)
     parts = split_windows(windows, config.split)
 
@@ -314,12 +312,10 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
                 break
 
     network.set_state(best_state)
-    test_scores_arr = _score_window_array(network, parts.test.windows)
-    test_mse = float(test_scores_arr.mean())
-    test_scores = ScoreSeries(test_scores_arr, parts.test.start_timestamps.copy(),
-                              config.window_steps, frame.metric_names)
-
-    meta = {
+    detector = Detector(network, norm, config.window_steps, frame.metric_names)
+    test_scores = detector.score_windows(parts.test, normalized=True)
+    test_mse = float(test_scores.scores.mean())
+    detector.training_meta = {
         "architecture": config.architecture,
         "seed": config.seed,
         "epochs_run": epochs_run,
@@ -329,7 +325,6 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
         "n_windows": {"train": len(parts.train), "val": len(parts.val),
                       "test": len(parts.test)},
     }
-    detector = Detector(network, norm, config.window_steps, frame.metric_names, meta)
     return TrainResult(detector, history, epochs_run, best_epoch, best_val,
                        test_mse, test_scores)
 
@@ -392,7 +387,10 @@ def load_model(path: str) -> Detector:
                                 np.random.default_rng(0))
         state = {name: np.asarray(value, dtype=np.float64)
                  for name, value in payload["state"].items()}
-        network.set_state(state)
+        try:
+            network.set_state(state)
+        except InternalError as exc:
+            raise ModelIOError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"malformed model file: {exc}") from None
     return Detector(network, norm, window_steps, names,

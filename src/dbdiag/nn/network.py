@@ -83,24 +83,23 @@ class Network:
         return state
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
+        """Restore a snapshot; it must hold exactly this network's entries."""
+        expected = self.get_state()
+        missing = [name for name in expected if name not in state]
+        unknown = [name for name in state if name not in expected]
+        if missing or unknown:
+            raise InternalError(
+                f"state does not match the network: missing "
+                f"[{', '.join(missing)}], unknown [{', '.join(unknown)}]")
         params = self.parameters()
         for name, value in state.items():
+            if np.shape(value) != expected[name].shape:
+                raise InternalError(f"state shape mismatch for {name}: "
+                                    f"{expected[name].shape} vs {np.shape(value)}")
             if name in params:
-                if params[name].shape != value.shape:
-                    raise InternalError(
-                        f"state shape mismatch for {name}: "
-                        f"{params[name].shape} vs {value.shape}")
                 params[name][...] = value
-            elif name.endswith((".running_mean", ".running_std", ".updates")):
-                idx = int(name.split(":", 1)[0])
-                layer = self.layers[idx]
-                if not isinstance(layer, BatchNorm):
-                    raise InternalError(f"state entry {name} targets a non-norm layer")
-                if name.endswith(".running_mean"):
-                    layer.running_mean = np.array(value, dtype=float).copy()
-                elif name.endswith(".running_std"):
-                    layer.running_std = np.array(value, dtype=float).copy()
-                else:
-                    layer.updates = int(value)
-            else:
-                raise InternalError(f"unknown state entry {name}")
+            else:  # a batch-norm running statistic or update count
+                layer = self.layers[int(name.split(":", 1)[0])]
+                attr = name.rsplit(".", 1)[1]
+                setattr(layer, attr, int(value) if attr == "updates"
+                        else np.array(value, dtype=float))

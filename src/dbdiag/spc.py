@@ -19,7 +19,6 @@ from .detector import ScoreSeries
 from .errors import ConfigError, DataError
 
 DEFAULT_SIGMA_K = 3.0
-WARNING_SIGMA_K = 2.0
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,8 @@ def fit_chart(scores: np.ndarray, feature: str, k: float = DEFAULT_SIGMA_K
                         f"got {scores.shape[0]}")
     if k <= 0.0:
         raise ConfigError(f"sigma multiplier must be positive, got {k}")
+    if not np.all(np.isfinite(scores)):
+        raise DataError(f"non-finite score in the chart sample for {feature!r}")
     center = float(scores.mean())
     sigma = float(scores.std(ddof=1))
     return ControlChart(feature, center, sigma, center + k * sigma,
@@ -75,9 +76,6 @@ class AnomalyPeriod:
     @property
     def duration(self) -> int:
         return self.end - self.start
-
-    def overlap_minutes(self, start: int, end: int) -> int:
-        return max(0, min(self.end, end) - max(self.start, start))
 
     def to_dict(self) -> dict:
         return {
@@ -145,12 +143,19 @@ def detect(scores: ScoreSeries, k: float = DEFAULT_SIGMA_K, gap_tolerance: int =
     """Chart every feature and extract its anomaly periods.
 
     Limits come from ``baseline`` scores when given (e.g. a clean reference
-    range) and from the scored series itself otherwise.
+    range) and from the scored series itself otherwise. NaN and inf scores
+    are refused: a NaN never exceeds a limit, so it would pass unflagged.
     """
     if baseline is not None and baseline.feature_names != scores.feature_names:
         raise DataError(
             f"baseline features [{', '.join(baseline.feature_names)}] do not match "
             f"scored features [{', '.join(scores.feature_names)}]")
+    bad = np.argwhere(~np.isfinite(scores.scores))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"non-finite score {scores.scores[i, j]} for feature "
+                        f"{scores.feature_names[j]!r} in window {i} "
+                        f"(start {minute_to_iso(scores.window_starts[i])})")
     charts = {}
     periods = {}
     flagged = {}

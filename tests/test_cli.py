@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import dbdiag
 from dbdiag import minute_to_iso
 from dbdiag.cli import main
 
@@ -70,6 +71,19 @@ class TestExitCodes:
                    "--model", str(tmp_path / "m.json")])
         assert rc == 3
         assert "non-finite value nan in row 3, column 'a'" in capsys.readouterr().err
+
+    def test_non_finite_score_is_data_error(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        assert main(["score", "--model", pipeline["model"],
+                     "--stats", pipeline["stats"], "--out", str(scores)]) == 0
+        doc = json.loads(scores.read_text())
+        doc["scores"][5][1] = float("nan")
+        scores.write_text(json.dumps(doc))  # json writes and reads NaN
+        rc = main(["detect", "--scores", str(scores),
+                   "--out", str(tmp_path / "det.json")])
+        assert rc == 3
+        assert (f"non-finite score nan for feature {doc['feature_names'][1]!r} "
+                f"in window 5" in capsys.readouterr().err)
 
     def test_null_and_spec_conflict_is_usage(self, tmp_path, capsys):
         rc = main(["gen", "--out-dir", str(tmp_path), "--null",
@@ -226,7 +240,12 @@ class TestConfigFile:
 
 
 def test_console_entry_point_exists():
+    # the child does not inherit pytest's pythonpath setting, so hand it the
+    # directory that holds the package imported here
+    src = os.path.dirname(os.path.dirname(dbdiag.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "dbdiag.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "report" in proc.stdout

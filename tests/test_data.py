@@ -16,6 +16,32 @@ from dbdiag import (
 from dbdiag.errors import ConfigError, DataError
 
 
+def loop_windows(frame, window_steps, stride):
+    """The original per-window loop, kept as the oracle for make_windows."""
+    breaks = np.nonzero(np.diff(frame.timestamps) != 1)[0] + 1
+    segments = np.split(np.arange(len(frame.timestamps)), breaks)
+    chunks, starts = [], []
+    for seg in segments:
+        n = len(seg) - window_steps + 1
+        for off in range(0, max(n, 0), stride):
+            idx = seg[off]
+            chunks.append(frame.values[idx:idx + window_steps])
+            starts.append(idx)
+    start_idx = np.asarray(starts, dtype=np.int64)
+    return np.stack(chunks), start_idx, frame.timestamps[start_idx]
+
+
+def gapped_frame(lengths, features=("a", "b", "c")):
+    """Contiguous runs of the given lengths, separated by gaps of 7 minutes."""
+    ts, t = [], 0
+    for n in lengths:
+        ts.append(np.arange(t, t + n))
+        t += n + 7
+    ts = np.concatenate(ts).astype(np.int64)
+    values = np.random.default_rng(len(ts)).normal(size=(len(ts), len(features)))
+    return MetricFrame(tuple(features), ts, values)
+
+
 def frame_of(n, start=1000, features=("a", "b"), fill=None, rng=None):
     ts = np.arange(start, start + n, dtype=np.int64)
     if fill is not None:
@@ -161,9 +187,41 @@ class TestWindows:
         ws = make_windows(frame, window_steps=5)
         np.testing.assert_array_equal(ws.windows[7], frame.values[7:12])
 
+    @pytest.mark.parametrize("lengths", [
+        (100,),             # no gap
+        (60, 45),           # two segments
+        (50, 12, 70),       # three, the middle one shorter than a window
+        (80, 33, 20),       # the last one exactly one window long
+        (15, 41),           # the first one too short to yield a window
+    ])
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    def test_matches_the_window_loop_exactly(self, lengths, stride):
+        frame = gapped_frame(lengths)
+        ws = make_windows(frame, window_steps=20, stride=stride)
+        windows, starts, stamps = loop_windows(frame, 20, stride)
+        assert ws.windows.shape == windows.shape
+        assert np.array_equal(ws.windows, windows)
+        assert np.array_equal(ws.start_indices, starts)
+        assert ws.start_indices.dtype == np.int64
+        assert np.array_equal(ws.start_timestamps, stamps)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_windows_without_a_gap_are_a_read_only_view(self, stride):
+        frame = frame_of(100)
+        ws = make_windows(frame, window_steps=30, stride=stride)
+        assert not ws.windows.flags.writeable
+        assert np.shares_memory(ws.windows, frame.values)
+
+    def test_gapped_windows_are_a_copy(self):
+        frame = gapped_frame((40, 40))
+        ws = make_windows(frame, window_steps=30)
+        assert not np.shares_memory(ws.windows, frame.values)
+
     def test_all_segments_too_short_is_an_error(self):
         with pytest.raises(DataError, match="longest run"):
             make_windows(frame_of(10), window_steps=30)
+        with pytest.raises(DataError, match="longest run: 25 minutes"):
+            make_windows(gapped_frame((20, 25, 3)), window_steps=30)
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ConfigError):

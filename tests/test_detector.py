@@ -1,16 +1,22 @@
 """Training loop, scoring, model round-trips, and the ablation sweep."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from dbdiag import (
+    Detector,
+    GlobalNorm,
+    MetricFrame,
     ScoreSeries,
     TrainConfig,
+    build_network,
     load_model,
     make_windows,
     model_digest,
+    parse_architecture,
     run_ablation,
     save_model,
     train,
@@ -86,6 +92,40 @@ class TestScoring:
         expect = ((pred[0] - x[0]) ** 2).mean(axis=0)
         np.testing.assert_allclose(scores.scores[i], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_score_frame_matches_window_level_normalization(self, tiny_run, stride):
+        # normalizing the frame once and windowing a view of it must give
+        # the bits of normalizing every window copy, for a BTN model ...
+        det = tiny_run.result.detector
+        frame = tiny_run.scenario.stats
+        keep = np.ones(len(frame.timestamps), dtype=bool)
+        keep[400:437] = False
+        gapped = MetricFrame(frame.metric_names, frame.timestamps[keep],
+                             frame.values[keep])
+        for f in (frame, gapped):
+            got = det.score_frame(f, stride=stride)
+            want = det.score_windows(make_windows(f, det.window_steps, stride))
+            assert np.array_equal(got.scores, want.scores)
+            assert np.array_equal(got.window_starts, want.window_starts)
+
+    @pytest.mark.parametrize("gap", [False, True])
+    def test_score_frame_matches_window_level_normalization_without_btn(self, gap):
+        # ... and for one whose first dense layer reads the windows directly;
+        # 6000 rows make more than one 4096-window scoring chunk
+        rng = np.random.default_rng(4)
+        ts = np.arange(6000, dtype=np.int64)
+        if gap:
+            ts[3000:] += 90
+        frame = MetricFrame(("a", "b", "c"), ts,
+                            rng.normal(5.0, 2.0, size=(6000, 3)))
+        network = build_network(parse_architecture("(16)-(6)-(16*)"), 30, 3, rng)
+        det = Detector(network, GlobalNorm.fit(frame), 30, frame.metric_names)
+        got = det.score_frame(frame)
+        want = det.score_windows(make_windows(frame, 30))
+        assert len(got) > 4096
+        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(got.window_starts, want.window_starts)
+
     def test_window_starts_track_timestamps(self, tiny_run):
         det = tiny_run.result.detector
         scores = det.score_frame(tiny_run.scenario.stats, stride=7)
@@ -141,6 +181,40 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelIOError, match="integrity"):
             load_model(str(path))
+
+    def edited_model(self, tiny_run, tmp_path, edit):
+        """A saved model with its state edited and its checksum recomputed."""
+        path = tmp_path / "model.json"
+        save_model(tiny_run.result.detector, str(path))
+        doc = json.loads(path.read_text())
+        edit(doc["state"])
+        del doc["checksum"]
+        doc["checksum"] = hashlib.sha256(json.dumps(
+            doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_missing_state_entry_rejected(self, tiny_run, tmp_path):
+        path = self.edited_model(tiny_run, tmp_path,
+                                 lambda state: state.pop("2:dense.weights"))
+        with pytest.raises(ModelIOError,
+                           match=r"missing \[2:dense.weights\], unknown \[\]"):
+            load_model(path)
+
+    def test_unknown_state_entry_rejected(self, tiny_run, tmp_path):
+        def add(state):
+            state["99:dense.weights"] = state["2:dense.weights"]
+        path = self.edited_model(tiny_run, tmp_path, add)
+        with pytest.raises(ModelIOError,
+                           match=r"missing \[\], unknown \[99:dense.weights\]"):
+            load_model(path)
+
+    def test_misshapen_state_entry_rejected(self, tiny_run, tmp_path):
+        def cut(state):
+            state["2:dense.bias"] = state["2:dense.bias"][:-1]
+        path = self.edited_model(tiny_run, tmp_path, cut)
+        with pytest.raises(ModelIOError, match="shape mismatch for 2:dense.bias"):
+            load_model(path)
 
     def test_wrong_format_marker_rejected(self, tmp_path):
         path = tmp_path / "model.json"

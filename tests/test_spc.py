@@ -42,6 +42,11 @@ class TestChart:
         with pytest.raises(DataError):
             fit_chart(np.array([1.0]), "f")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_names_the_feature(self, bad):
+        with pytest.raises(DataError, match="'cpu'"):
+            fit_chart(np.array([1.0, bad, 3.0]), "cpu")
+
     def test_only_the_upper_side_flags(self):
         chart = fit_chart(np.array([0.0, 1.0, 2.0]), "f", k=0.5)
         scores = np.array([chart.lcl - 10.0, chart.center, chart.ucl + 0.1])
@@ -106,6 +111,15 @@ class TestDetect:
         fresh[50:55] = 2.0  # big only relative to the clean baseline
         result = detect(series_of(fresh), baseline=base)
         assert [p.start for p in result.periods["f"]] == [50]
+
+    def test_non_finite_scored_window_is_refused(self):
+        # a NaN never exceeds the limit, so it must not pass as in control
+        base = np.random.default_rng(1).normal(1.0, 0.05, (50, 2))
+        fresh = np.ones((20, 2))
+        fresh[13, 1] = np.nan
+        with pytest.raises(DataError, match="feature 'b' in window 13 "):
+            detect(series_of(fresh, features=("a", "b")),
+                   baseline=series_of(base, features=("a", "b")))
 
     def test_baseline_feature_mismatch_rejected(self):
         with pytest.raises(DataError):
