@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import minute_to_iso
+from .similarity import znorm
 from .spc import ControlChart
 
 WIDTH = 860
@@ -102,12 +103,7 @@ def overlay_svg(title: str, minutes: np.ndarray,
     """Z-normalized series overlaid on one axis, first series emphasized."""
     if not named_series:
         raise ValueError("overlay needs at least one series")
-    normed = []
-    for name, series in named_series:
-        series = np.asarray(series, dtype=np.float64)
-        std = series.std()
-        normed.append((name, (series - series.mean()) / std if std > 0.0
-                       else np.zeros_like(series)))
+    normed = [(name, znorm(series)) for name, series in named_series]
     lo = min(float(s.min()) for _, s in normed)
     hi = max(float(s.max()) for _, s in normed)
     to_y = _scale(lo, hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)

@@ -14,12 +14,11 @@ file), 5 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
-from .data import iso_to_minute, load_metrics, minute_to_iso, write_metrics
+from .data import (iso_to_minute, load_metrics, minute_to_iso, read_json,
+                   write_csv_rows, write_json, write_metrics)
 from .detector import (
     SELECTED_ARCHITECTURE,
     TABLE_ARCHITECTURES,
@@ -183,13 +182,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     path = args.config
     if not path:
         return args
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot open config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    cfg = read_json(path, ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
 
@@ -232,9 +225,7 @@ def _cmd_gen(args) -> int:
     labels = [{**lab.to_dict(), "start": minute_to_iso(lab.start),
                "end": minute_to_iso(lab.end), "start_minute": lab.start,
                "end_minute": lab.end} for lab in scenario.labels]
-    with open(os.path.join(args.out_dir, "labels.json"), "w") as fh:
-        json.dump(labels, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out_dir, "labels.json"), labels)
     print(f"wrote {spec.duration_minutes}-minute scenario to {args.out_dir} "
           f"({len(scenario.labels)} labeled anomalies)")
     return EXIT_OK
@@ -255,9 +246,7 @@ def _cmd_train(args) -> int:
                   f"train_mse {row['train_mse']:.6f}  val_mse {row['val_mse']:.6f}")
     save_model(result.detector, args.model)
     if args.history:
-        with open(args.history, "w") as fh:
-            json.dump(result.history, fh, indent=2)
-            fh.write("\n")
+        write_json(args.history, result.history)
     print(f"trained {config.architecture} on {len(frame.timestamps)} minutes: "
           f"{result.epochs_run} epochs (best {result.best_epoch}), "
           f"val_mse {result.val_mse:.6f}, test_mse {result.test_mse:.6f}")
@@ -296,9 +285,7 @@ def _cmd_detect(args) -> int:
                             for name, plist in result.periods.items()},
         "groups": [g.to_dict() for g in groups],
     }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, payload)
     total = sum(len(p) for p in result.periods.values())
     print(f"{total} per-feature period(s) in {len(groups)} group(s) "
           f"at {args.sigma:g} sigma -> {args.out}")
@@ -322,23 +309,16 @@ def _cmd_match(args) -> int:
         corr = "n/a" if m.correlation is None else f"{m.correlation:7.4f}"
         print(f"{m.event:<{width}}  {m.dtw:10.4f}  {corr:>7}  "
               f"{m.rank_dtw:8d}  {m.rank_correlation:9d}")
-    if args.out:
-        if args.out.endswith(".csv"):
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["event", "dtw", "correlation",
-                                 "rank_dtw", "rank_correlation"])
-                for m in matches:
-                    corr = "" if m.correlation is None else repr(m.correlation)
-                    writer.writerow([m.event, repr(m.dtw), corr,
-                                     m.rank_dtw, m.rank_correlation])
-        else:
-            payload = {"feature": args.feature, "start": args.start,
-                       "end": args.end, "margin": args.margin,
-                       "matches": [m.to_dict() for m in matches]}
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    if args.out and args.out.endswith(".csv"):
+        write_csv_rows(args.out, ["event", "dtw", "correlation", "rank_dtw",
+                                  "rank_correlation"],
+                       [[m.event, repr(m.dtw),
+                         "" if m.correlation is None else repr(m.correlation),
+                         m.rank_dtw, m.rank_correlation] for m in matches])
+    elif args.out:
+        write_json(args.out, {"feature": args.feature, "start": args.start,
+                              "end": args.end, "margin": args.margin,
+                              "matches": [m.to_dict() for m in matches]})
     return EXIT_OK
 
 
@@ -386,9 +366,7 @@ def _cmd_ablate(args) -> int:
             print(f"{r['architecture']:<{width}}  {r['test_mse']:10.4f}  "
                   f"{r['val_mse']:10.4f}  {r['best_epoch']}/{r['epochs_run']}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, rows)
     return EXIT_OK
 
 

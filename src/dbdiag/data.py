@@ -1,4 +1,4 @@
-"""Metric loading, normalization, windowing and chronological splits.
+"""Metric loading, normalization, windowing, splits, and CSV and JSON file I/O.
 
 Metrics arrive as CSV with a ``timestamp`` column plus one column per metric.
 Timestamps are parsed to epoch minutes and must land exactly on minute
@@ -10,13 +10,14 @@ views of the frame's values; a frame with gaps makes one gathered copy.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DiagError
 
 DEFAULT_WINDOW_STEPS = 30
 
@@ -166,11 +167,50 @@ def iso_to_minute(text: str) -> int:
 
 def write_metrics(path: str, frame: MetricFrame) -> None:
     """Inverse of load_metrics; timestamps serialize as UTC ISO-8601."""
+    write_minute_csv(path, "timestamp", frame.timestamps, frame.metric_names,
+                     frame.values)
+
+
+def write_csv_rows(path: str, header: list[str], rows) -> None:
+    """Write a header row and then ``rows`` in the csv module's default dialect."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", *frame.metric_names])
-        for ts, row in zip(frame.timestamps, frame.values):
-            writer.writerow([minute_to_iso(int(ts)), *(repr(float(v)) for v in row)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_minute_csv(path: str, key: str, minutes: np.ndarray,
+                     names: tuple[str, ...], values: np.ndarray) -> None:
+    """One ISO-8601 column named ``key``, then one ``repr`` float per name."""
+    rows = zip(np.asarray(minutes).tolist(), np.asarray(values, dtype=np.float64))
+    write_csv_rows(path, [key, *names],
+                   ([minute_to_iso(m), *map(repr, row.tolist())] for m, row in rows))
+
+
+_JSON_LAYOUT = {"indent": 2, "sort_keys": True}
+
+
+def json_text(payload) -> str:
+    """The layout of every JSON file: two-space indent, sorted keys, newline."""
+    return json.dumps(payload, **_JSON_LAYOUT) + "\n"
+
+
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` as ``json_text`` would, streamed into the file."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, **_JSON_LAYOUT)
+        fh.write("\n")
+
+
+def read_json(path: str, error: type[DiagError]):
+    """Parse a JSON file; an unreadable or invalid one raises ``error``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot open {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
 
 
 @dataclass

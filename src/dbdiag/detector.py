@@ -11,7 +11,6 @@ window sizes stay comparable.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -27,7 +26,10 @@ from .data import (
     iso_to_minute,
     make_windows,
     minute_to_iso,
+    read_json,
     split_windows,
+    write_json,
+    write_minute_csv,
 )
 from .errors import ConfigError, DataError, InternalError, ModelIOError, TrainingError
 from .nn import Adam, Network, mse_loss_grad
@@ -135,31 +137,24 @@ class ScoreSeries:
         if scores.ndim != 2 or scores.shape != (len(starts), len(names)):
             raise ModelIOError(f"score matrix shape {scores.shape} does not match "
                                f"{len(starts)} windows x {len(names)} features")
+        if steps < 2:
+            raise ModelIOError(f"window_steps must be at least 2, got {steps}")
+        back = np.flatnonzero(np.diff(starts) <= 0) + 1
+        if back.size:
+            raise ModelIOError(f"window starts must be strictly increasing: window "
+                               f"{back[0]} starts at {payload['window_starts'][back[0]]}")
         return cls(scores, starts, steps, names)
 
     def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def read_json(cls, path: str) -> "ScoreSeries":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ModelIOError(f"cannot open {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ModelIOError(f"{path} is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, ModelIOError))
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_start", *self.feature_names])
-            for ts, row in zip(self.window_starts, self.scores):
-                writer.writerow([minute_to_iso(int(ts)),
-                                 *(repr(float(v)) for v in row)])
+        write_minute_csv(path, "window_start", self.window_starts,
+                         self.feature_names, self.scores)
 
 
 def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
@@ -351,19 +346,11 @@ def save_model(detector: Detector, path: str) -> None:
     }
     payload["checksum"] = hashlib.sha256(
         _canonical_json(payload).encode()).hexdigest()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path: str) -> Detector:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ModelIOError(f"cannot open {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ModelIOError(f"{path} is not valid JSON: {exc}") from None
+    payload = read_json(path, ModelIOError)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelIOError(f"{path} is not a model file")
     if payload.get("format_version") != FORMAT_VERSION:
@@ -383,6 +370,7 @@ def load_model(path: str) -> Detector:
             np.asarray(payload["normalization"]["mean"], dtype=np.float64),
             np.asarray(payload["normalization"]["std"], dtype=np.float64),
         )
+        _check_normalization(path, norm)
         network = build_network(spec, window_steps, len(names),
                                 np.random.default_rng(0))
         state = {name: np.asarray(value, dtype=np.float64)
@@ -395,6 +383,20 @@ def load_model(path: str) -> Detector:
         raise ModelIOError(f"malformed model file: {exc}") from None
     return Detector(network, norm, window_steps, names,
                     payload.get("training", {}))
+
+
+def _check_normalization(path: str, norm: GlobalNorm) -> None:
+    """Refuse a mean or std without one finite entry per feature, or a std
+    entry that is not positive: scores would be wrong or non-finite."""
+    for key, vec in (("mean", norm.mean), ("std", norm.std)):
+        if vec.shape != (len(norm.feature_names),):
+            raise ModelIOError(f"{path}: normalization.{key} has shape {vec.shape} "
+                               f"for {len(norm.feature_names)} features")
+        bad = np.flatnonzero(~np.isfinite(vec) | ((key == "std") & (vec <= 0.0)))
+        if bad.size:
+            j = int(bad[0])
+            raise ModelIOError(f"{path}: normalization.{key}[{j}] "
+                               f"({norm.feature_names[j]!r}) is {float(vec[j])}")
 
 
 def model_digest(path: str) -> str:

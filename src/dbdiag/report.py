@@ -10,12 +10,11 @@ bytes; the embedded model digest plus that property make reports auditable.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .charts import control_chart_svg, overlay_svg
-from .data import MetricFrame, minute_to_iso
+from .data import MetricFrame, json_text, minute_to_iso
 from .detector import ScoreSeries
 from .errors import ConfigError, DataError
 from .similarity import match_events
@@ -46,9 +45,7 @@ class ReportConfig:
                               f"got {self.match_margin}")
 
     def to_dict(self) -> dict:
-        return {"sigma_k": self.sigma_k, "gap_tolerance": self.gap_tolerance,
-                "top_periods": self.top_periods, "top_events": self.top_events,
-                "match_margin": self.match_margin}
+        return asdict(self)
 
 
 def _frame_summary(frame: MetricFrame) -> dict:
@@ -103,11 +100,9 @@ def build_report(scores: ScoreSeries, stat_frame: MetricFrame,
             if matches:
                 fname = f"overlay_period{group.rank}.svg"
                 top = [m.event for m in matches[:3]]
-                lo = max(group.start, int(stat_frame.timestamps[0]))
-                hi = min(group.end + config.match_margin,
-                         int(stat_frame.timestamps[-1]) + 1)
-                stat_slice = stat_frame.slice_minutes(lo, hi)
-                event_slice = event_frame.slice_minutes(lo, hi)
+                end = group.end + config.match_margin
+                stat_slice = stat_frame.slice_minutes(group.start, end)
+                event_slice = event_frame.slice_minutes(group.start, end)
                 series = [(group.primary_feature,
                            stat_slice.column(group.primary_feature))]
                 series += [(name, event_slice.column(name)) for name in top]
@@ -138,7 +133,7 @@ def build_report(scores: ScoreSeries, stat_frame: MetricFrame,
 
 
 def report_to_json_bytes(report: dict) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    return json_text(report).encode()
 
 
 def render_text(report: dict) -> str:

@@ -12,7 +12,7 @@ than blending them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,9 +103,7 @@ class EventMatch:
     rank_correlation: int
 
     def to_dict(self) -> dict:
-        return {"event": self.event, "dtw": self.dtw,
-                "correlation": self.correlation, "rank_dtw": self.rank_dtw,
-                "rank_correlation": self.rank_correlation}
+        return asdict(self)
 
 
 def match_events(stat_frame: MetricFrame, feature: str, event_frame: MetricFrame,

@@ -10,7 +10,7 @@ caught by many overlapping windows reports as one period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class ControlChart:
     k: float
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature, "center": self.center, "sigma": self.sigma,
-                "ucl": self.ucl, "lcl": self.lcl, "k": self.k}
+        return asdict(self)
 
 
 def fit_chart(scores: np.ndarray, feature: str, k: float = DEFAULT_SIGMA_K

@@ -10,13 +10,12 @@ spec always yields byte-identical series.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import MetricFrame
+from .data import MetricFrame, read_json, write_json
 from .errors import ConfigError
 
 DEFAULT_STAT_FEATURES = (
@@ -210,11 +209,7 @@ class ScenarioSpec:
             "injections": [inj.to_dict() for inj in self.injections],
         }
         if self.baselines:
-            payload["baselines"] = {
-                name: {"level": b.level, "daily_amplitude": b.daily_amplitude,
-                       "trend_slope": b.trend_slope, "noise_sigma": b.noise_sigma,
-                       "phase": b.phase}
-                for name, b in self.baselines}
+            payload["baselines"] = {name: asdict(b) for name, b in self.baselines}
         return payload
 
     @classmethod
@@ -233,24 +228,15 @@ class ScenarioSpec:
                                  for p in payload.get("injections", ())),
                 baselines=baselines,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario: {exc}") from None
 
     def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def read_json(cls, path: str) -> "ScenarioSpec":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot open {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, ConfigError))
 
 
 @dataclass(frozen=True)
@@ -265,9 +251,7 @@ class TruthLabel:
     sigma_ratio: float  # magnitude over the feature's baseline noise sigma
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature, "kind": self.kind, "start": self.start,
-                "end": self.end, "magnitude": self.magnitude,
-                "sigma_ratio": self.sigma_ratio}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

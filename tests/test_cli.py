@@ -1,5 +1,7 @@
 """Exit codes and end-to-end subcommand plumbing."""
 
+import csv
+import glob
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import dbdiag
 from dbdiag import minute_to_iso
 from dbdiag.cli import main
+from dbdiag.data import json_text
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,53 @@ class TestExitCodes:
         assert (f"non-finite score nan for feature {doc['feature_names'][1]!r} "
                 f"in window 5" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("content", [None, "{not json"],
+                             ids=["missing", "invalid"])
+    @pytest.mark.parametrize("reader,code", [
+        ("score --model", 4), ("detect --scores", 4), ("detect --baseline", 4),
+        ("gen --spec", 2), ("--config", 2)])
+    def test_unreadable_json_input(self, pipeline, tmp_path, capsys,
+                                   reader, code, content):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        scores = tmp_path / "scores.json"
+        assert main(["score", "--model", pipeline["model"],
+                     "--stats", pipeline["stats"], "--out", str(scores)]) == 0
+        argv = {
+            "score --model": ["score", "--model", str(bad), "--stats",
+                              pipeline["stats"], "--out", str(tmp_path / "s.json")],
+            "detect --scores": ["detect", "--scores", str(bad),
+                                "--out", str(tmp_path / "d.json")],
+            "detect --baseline": ["detect", "--scores", str(scores), "--baseline",
+                                  str(bad), "--out", str(tmp_path / "d.json")],
+            "gen --spec": ["gen", "--spec", str(bad), "--out-dir", str(tmp_path)],
+            "--config": ["detect", "--scores", str(scores), "--out",
+                         str(tmp_path / "d.json"), "--config", str(bad)],
+        }[reader]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("cannot open" if content is None else "is not valid JSON") in err
+        assert "bad.json" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["window_starts"].reverse(),
+         "window starts must be strictly increasing: window 1"),
+        (lambda doc: doc.update(window_steps=1), "window_steps must be at least 2"),
+    ], ids=["reversed_starts", "one_step_windows"])
+    def test_malformed_scores_are_model_errors(self, pipeline, tmp_path, capsys,
+                                               edit, message):
+        scores = tmp_path / "scores.json"
+        assert main(["score", "--model", pipeline["model"],
+                     "--stats", pipeline["stats"], "--out", str(scores)]) == 0
+        doc = json.loads(scores.read_text())
+        edit(doc)
+        scores.write_text(json.dumps(doc))
+        rc = main(["detect", "--scores", str(scores),
+                   "--out", str(tmp_path / "det.json")])
+        assert rc == 4
+        assert message in capsys.readouterr().err
+
     def test_null_and_spec_conflict_is_usage(self, tmp_path, capsys):
         rc = main(["gen", "--out-dir", str(tmp_path), "--null",
                    "--spec", "x.json"])
@@ -106,7 +156,12 @@ class TestPipeline:
         assert main(["score", "--model", pipeline["model"],
                      "--stats", pipeline["stats"], "--out", scores,
                      "--csv", csv_out]) == 0
-        assert os.path.exists(csv_out)
+        doc = json.loads(open(scores).read())
+        with open(csv_out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["window_start", *doc["feature_names"]]
+        assert [r[0] for r in rows] == doc["window_starts"]
+        assert [[float(v) for v in r[1:]] for r in rows] == doc["scores"]
         detections = str(tmp_path / "det.json")
         assert main(["detect", "--scores", scores, "--out", detections]) == 0
         doc = json.loads(open(detections).read())
@@ -186,6 +241,44 @@ class TestPipeline:
         assert [r["architecture"] for r in rows] == [
             "(16)-(6)-(16*)", "BTN-(16)-(6)-(16*)-BTN*"]
         assert all("test_mse" in r for r in rows)
+
+    def test_every_json_artifact_has_one_layout(self, pipeline, tmp_path):
+        """Each JSON file a pipeline writes is sorted, two-space indented and
+        newline-terminated."""
+        out = str(tmp_path)
+        labels = json.loads(open(os.path.join(pipeline["data"],
+                                              "labels.json")).read())
+        lab = labels[0]
+        steps = [
+            ["train", "--stats", pipeline["stats"], "--model", f"{out}/model.json",
+             "--architecture", "(16)-(6)-(16*)", "--epochs", "2", "--patience", "2",
+             "--batch-size", "256", "--history", f"{out}/history.json"],
+            ["score", "--model", pipeline["model"], "--stats", pipeline["stats"],
+             "--out", f"{out}/scores.json"],
+            ["detect", "--scores", f"{out}/scores.json", "--sigma", "2",
+             "--out", f"{out}/detections.json"],
+            ["match", "--stats", pipeline["stats"], "--events", pipeline["events"],
+             "--feature", lab["feature"], "--start", lab["start"], "--end",
+             lab["end"], "--out", f"{out}/matches.json"],
+            ["report", "--model", pipeline["model"], "--stats", pipeline["stats"],
+             "--events", pipeline["events"], "--out-dir", f"{out}/report",
+             "--sigma", "2", "--quiet"],
+            ["ablate", "--stats", pipeline["stats"], "--architectures",
+             "(16)-(6)-(16*)", "--epochs", "2", "--patience", "2",
+             "--batch-size", "256", "--out", f"{out}/ablate.json"],
+            ["gen", "--spec", os.path.join(pipeline["data"], "scenario.json"),
+             "--out-dir", f"{out}/regen"],
+        ]
+        for argv in steps:
+            assert main(argv) == 0, argv
+        paths = sorted(glob.glob(f"{out}/**/*.json", recursive=True))
+        names = {os.path.relpath(p, out) for p in paths}
+        assert names == {"model.json", "history.json", "scores.json",
+                         "detections.json", "matches.json", "report/report.json",
+                         "ablate.json", "regen/labels.json", "regen/scenario.json"}
+        for path in paths + [pipeline["model"]]:
+            text = open(path).read()
+            assert text == json_text(json.loads(text)), path
 
 
 class TestConfigFile:

@@ -182,12 +182,12 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match="integrity"):
             load_model(str(path))
 
-    def edited_model(self, tiny_run, tmp_path, edit):
-        """A saved model with its state edited and its checksum recomputed."""
+    def edited_model(self, tiny_run, tmp_path, edit, part="state"):
+        """A saved model with one part edited and its checksum recomputed."""
         path = tmp_path / "model.json"
         save_model(tiny_run.result.detector, str(path))
         doc = json.loads(path.read_text())
-        edit(doc["state"])
+        edit(doc[part])
         del doc["checksum"]
         doc["checksum"] = hashlib.sha256(json.dumps(
             doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -214,6 +214,21 @@ class TestModelIO:
             state["2:dense.bias"] = state["2:dense.bias"][:-1]
         path = self.edited_model(tiny_run, tmp_path, cut)
         with pytest.raises(ModelIOError, match="shape mismatch for 2:dense.bias"):
+            load_model(path)
+
+    def test_short_normalization_mean_rejected(self, tiny_run, tmp_path):
+        path = self.edited_model(tiny_run, tmp_path,
+                                 lambda norm: norm["mean"].pop(), "normalization")
+        with pytest.raises(ModelIOError, match=r"normalization.mean has shape \(5,\) "
+                                               r"for 6 features"):
+            load_model(path)
+
+    def test_zero_normalization_std_rejected(self, tiny_run, tmp_path):
+        def zero(norm):
+            norm["std"][2] = 0.0
+        path = self.edited_model(tiny_run, tmp_path, zero, "normalization")
+        with pytest.raises(ModelIOError, match=r"normalization.std\[2\] "
+                                               r"\('session_logical_reads'\) is 0.0"):
             load_model(path)
 
     def test_wrong_format_marker_rejected(self, tmp_path):

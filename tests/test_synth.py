@@ -65,6 +65,12 @@ class TestSpecValidation:
             tiny_spec(injections=(
                 Injection("wobble", "cpu_used", 10, 5, 1.0),))
 
+    @pytest.mark.parametrize("payload", [
+        [], {"duration_minutes": 100, "baselines": []}], ids=["list", "list_baselines"])
+    def test_non_object_json_rejected(self, payload):
+        with pytest.raises(ConfigError, match="malformed scenario"):
+            ScenarioSpec.from_dict(payload)
+
     def test_json_roundtrip(self, tmp_path):
         spec = default_scenario(seed=5, duration_minutes=800)
         path = str(tmp_path / "spec.json")
