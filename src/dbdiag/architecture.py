@@ -194,13 +194,14 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
             if structured:
                 layers.append(Flatten(window_steps, n_features))
                 structured = False
-            layers.append(Dense(width, tok.units, rng, reverse=tok.starred))
+            layers.append(Dense(width, tok.units, rng,
+                                label="dense_reverse" if tok.starred else "dense"))
             width = tok.units
             if not spec.linear_dense:
                 layers.append(ReLU())
         elif tok.kind == "bn":
             layers.append(BatchNorm(n_features if structured else width,
-                                    reverse=tok.starred))
+                                    label="bn_reverse" if tok.starred else "bn"))
         else:  # btn
             if not structured:
                 raise ArchitectureError(
@@ -209,13 +210,13 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
 
     if structured:
         layers.append(Flatten(window_steps, n_features))
-    layers.append(Dense(width, flat_width, rng, is_output=True))
+    layers.append(Dense(width, flat_width, rng, label="dense_out"))
     layers.append(Reshape(window_steps, n_features))
 
     for tok in trailing:
         if tok.kind == "bn":
-            layers.append(BatchNorm(n_features, reverse=True))
+            layers.append(BatchNorm(n_features, label="bn_reverse"))
         else:
             layers.append(TemporalNormReverse(n_features))
 
-    return Network(layers, spec.text, window_steps, n_features)
+    return Network(layers, spec.text)

@@ -34,17 +34,16 @@ def _scale(values_min: float, values_max: float, lo: float, hi: float):
         span = 1.0
         values_min -= 0.5
 
-    def to_px(v: float) -> float:
+    def to_px(v):  # a float or an array of them
         return lo + (v - values_min) / span * (hi - lo)
 
     return to_px
 
 
-def _polyline(xs, ys, color: str, width: float = 1.5, dash: str | None = None) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+def _polyline(xs: np.ndarray, ys: np.ndarray, color: str, width: float = 1.5) -> str:
+    pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{dash_attr} points="{pts}"/>')
+            f' points="{pts}"/>')
 
 
 def _hline(y: float, color: str, label: str, dash: str | None = None) -> str:
@@ -64,6 +63,15 @@ def _frame(title: str) -> tuple[str, str]:
     return head, "</svg>"
 
 
+def _footer(first_minute: int, last_minute: int) -> str:
+    """The first and last timestamps under the x axis."""
+    return (f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 12}" font-size="10" '
+            f'fill="#6b7280">{minute_to_iso(int(first_minute))}</text>'
+            f'<text x="{WIDTH - MARGIN_RIGHT}" y="{HEIGHT - 12}" '
+            f'font-size="10" text-anchor="end" fill="#6b7280">'
+            f'{minute_to_iso(int(last_minute))}</text>')
+
+
 def control_chart_svg(scores: np.ndarray, window_starts: np.ndarray,
                       chart: ControlChart, flagged: np.ndarray) -> str:
     """One feature's score series with its control limits and flagged windows."""
@@ -74,8 +82,8 @@ def control_chart_svg(scores: np.ndarray, window_starts: np.ndarray,
     to_y = _scale(lo, hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
     to_x = _scale(0.0, float(max(n - 1, 1)), MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
 
-    xs = [to_x(i) for i in range(n)]
-    ys = [to_y(v) for v in scores]
+    xs = to_x(np.arange(n))
+    ys = to_y(scores)
     head, tail = _frame(
         f"{chart.feature} reconstruction score, {chart.k:g}-sigma limits")
     parts = [head]
@@ -85,15 +93,10 @@ def control_chart_svg(scores: np.ndarray, window_starts: np.ndarray,
     parts.append(_hline(to_y(chart.lcl), "#9ca3af", f"LCL {chart.lcl:.4g}",
                         dash="2 3"))
     parts.append(_polyline(xs, ys, "#2563eb"))
-    for idx in np.asarray(flagged, dtype=np.int64):
-        parts.append(f'<circle cx="{_fmt(xs[int(idx)])}" cy="{_fmt(ys[int(idx)])}" '
-                     f'r="2.5" fill="#dc2626"/>')
-    if n > 0:
-        parts.append(f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 12}" font-size="10" '
-                     f'fill="#6b7280">{minute_to_iso(int(window_starts[0]))}</text>')
-        parts.append(f'<text x="{WIDTH - MARGIN_RIGHT}" y="{HEIGHT - 12}" '
-                     f'font-size="10" text-anchor="end" fill="#6b7280">'
-                     f'{minute_to_iso(int(window_starts[-1]))}</text>')
+    flagged = np.asarray(flagged, dtype=np.int64)
+    for x, y in zip(xs[flagged].tolist(), ys[flagged].tolist()):
+        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="#dc2626"/>')
+    parts.append(_footer(window_starts[0], window_starts[-1]))
     parts.append(tail)
     return "".join(parts)
 
@@ -109,7 +112,7 @@ def overlay_svg(title: str, minutes: np.ndarray,
     to_y = _scale(lo, hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
     n = len(minutes)
     to_x = _scale(0.0, float(max(n - 1, 1)), MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    xs = [to_x(i) for i in range(n)]
+    xs = to_x(np.arange(n))
 
     head, tail = _frame(title)
     parts = [head]
@@ -117,13 +120,9 @@ def overlay_svg(title: str, minutes: np.ndarray,
     for i, (name, series) in enumerate(normed):
         color = "#2563eb" if i == 0 else _PALETTE[(i - 1) % len(_PALETTE)]
         width = 2.0 if i == 0 else 1.2
-        parts.append(_polyline(xs, [to_y(v) for v in series], color, width))
+        parts.append(_polyline(xs, to_y(series), color, width))
         parts.append(f'<text x="{MARGIN_LEFT + 6}" y="{legend_y + 12 * i}" '
                      f'font-size="10" fill="{color}">{name}</text>')
-    parts.append(f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 12}" font-size="10" '
-                 f'fill="#6b7280">{minute_to_iso(int(minutes[0]))}</text>')
-    parts.append(f'<text x="{WIDTH - MARGIN_RIGHT}" y="{HEIGHT - 12}" '
-                 f'font-size="10" text-anchor="end" fill="#6b7280">'
-                 f'{minute_to_iso(int(minutes[-1]))}</text>')
+    parts.append(_footer(minutes[0], minutes[-1]))
     parts.append(tail)
     return "".join(parts)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .data import (iso_to_minute, load_metrics, minute_to_iso, read_json,
                    write_csv_rows, write_json, write_metrics)
 from .detector import (
-    SELECTED_ARCHITECTURE,
     TABLE_ARCHITECTURES,
     ScoreSeries,
     TrainConfig,
@@ -33,7 +33,7 @@ from .detector import (
 from .errors import ConfigError, DataError, DiagError, ModelError
 from .report import ReportConfig, build_report, render_text, write_report
 from .similarity import match_events
-from .spc import DEFAULT_SIGMA_K, detect, group_periods
+from .spc import detect, group_periods
 from .synth import (
     ScenarioSpec,
     default_scenario,
@@ -50,11 +50,39 @@ EXIT_INTERNAL = 5
 
 _CONTROL_KEYS = {"command", "config"}
 
+# Every tuning flag defaults to the library's own default.
+_TRAIN = TrainConfig()
+_REPORT = ReportConfig()
+
+# Flags whose names differ from the TrainConfig or ReportConfig field they set
+_FIELD_OF_FLAG = {"window": "window_steps", "epochs": "max_epochs",
+                  "sigma": "sigma_k", "margin": "match_margin"}
+
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     # --config supplies defaults for tuning options; explicit flags win.
     sp.add_argument("--config", help="JSON file of option defaults (flag names with "
                                      "underscores); explicit flags override it")
+
+
+def _add_train_options(sp: argparse.ArgumentParser) -> None:
+    """The TrainConfig options that train and ablate share."""
+    sp.add_argument("--window", type=int, default=_TRAIN.window_steps,
+                    help="window length in minutes")
+    sp.add_argument("--learning-rate", type=float, default=_TRAIN.learning_rate)
+    sp.add_argument("--l2-lambda", type=float, default=_TRAIN.l2_lambda)
+    sp.add_argument("--batch-size", type=int, default=_TRAIN.batch_size)
+    sp.add_argument("--epochs", type=int, default=_TRAIN.max_epochs, help="epoch cap")
+    sp.add_argument("--patience", type=int, default=_TRAIN.patience,
+                    help="early-stop patience in epochs")
+    sp.add_argument("--seed", type=int, default=_TRAIN.seed)
+
+
+def _config_from(cls, args: argparse.Namespace):
+    """The TrainConfig or ReportConfig that the parsed flags describe."""
+    names = {f.name for f in fields(cls)}
+    given = {_FIELD_OF_FLAG.get(flag, flag): value for flag, value in vars(args).items()}
+    return cls(**{name: value for name, value in given.items() if name in names})
 
 
 def _split_type(text: str) -> tuple[float, float, float]:
@@ -92,18 +120,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp = sub.add_parser("train", help="fit a detector on a metric CSV")
     sp.add_argument("--stats", required=True, help="metric CSV to train on")
     sp.add_argument("--model", required=True, help="output model JSON path")
-    sp.add_argument("--architecture", default=SELECTED_ARCHITECTURE)
-    sp.add_argument("--window", type=int, default=30,
-                    help="window length in minutes")
-    sp.add_argument("--stride", type=int, default=1)
-    sp.add_argument("--learning-rate", type=float, default=0.001)
-    sp.add_argument("--l2-lambda", type=float, default=0.001)
-    sp.add_argument("--batch-size", type=int, default=1500)
-    sp.add_argument("--epochs", type=int, default=200, help="epoch cap")
-    sp.add_argument("--patience", type=int, default=20,
-                    help="early-stop patience in epochs")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--split", type=_split_type, default=(0.6, 0.2, 0.2),
+    sp.add_argument("--architecture", default=_TRAIN.architecture)
+    _add_train_options(sp)
+    sp.add_argument("--stride", type=int, default=_TRAIN.stride)
+    sp.add_argument("--split", type=_split_type, default=_TRAIN.split,
                     help="train,val,test fractions")
     sp.add_argument("--history",
                     help="also write per-epoch history JSON here")
@@ -121,9 +141,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp = sub.add_parser("detect", help="find anomaly periods in a score series")
     sp.add_argument("--scores", required=True, help="scores JSON from 'score'")
     sp.add_argument("--out", required=True, help="output detections JSON")
-    sp.add_argument("--sigma", type=float, default=DEFAULT_SIGMA_K,
+    sp.add_argument("--sigma", type=float, default=_REPORT.sigma_k,
                     help="control-limit multiplier")
-    sp.add_argument("--gap-tolerance", type=int, default=0,
+    sp.add_argument("--gap-tolerance", type=int, default=_REPORT.gap_tolerance,
                     help="unflagged windows allowed inside one period")
     sp.add_argument("--baseline",
                     help="fit limits on this scores JSON instead of the scored series")
@@ -137,7 +157,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="period start (ISO-8601 or epoch seconds)")
     sp.add_argument("--end", required=True,
                     help="period end, exclusive (ISO-8601 or epoch seconds)")
-    sp.add_argument("--margin", type=int, default=0,
+    sp.add_argument("--margin", type=int, default=_REPORT.match_margin,
                     help="extra minutes after the period")
     sp.add_argument("--top", type=int, default=10)
     sp.add_argument("--out", help="write matches JSON here")
@@ -148,11 +168,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--stats", required=True)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--events", help="wait-event CSV")
-    sp.add_argument("--sigma", type=float, default=DEFAULT_SIGMA_K)
-    sp.add_argument("--gap-tolerance", type=int, default=0)
-    sp.add_argument("--top-periods", type=int, default=5)
-    sp.add_argument("--top-events", type=int, default=5)
-    sp.add_argument("--margin", type=int, default=0)
+    sp.add_argument("--sigma", type=float, default=_REPORT.sigma_k)
+    sp.add_argument("--gap-tolerance", type=int, default=_REPORT.gap_tolerance)
+    sp.add_argument("--top-periods", type=int, default=_REPORT.top_periods)
+    sp.add_argument("--top-events", type=int, default=_REPORT.top_events)
+    sp.add_argument("--margin", type=int, default=_REPORT.match_margin)
     sp.add_argument("--stride", type=int, default=1)
     sp.add_argument("--quiet", action="store_true")
     _add_common(sp)
@@ -161,13 +181,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--stats", required=True)
     sp.add_argument("--architectures",
                     help="semicolon-separated list (default: the built-in comparison set)")
-    sp.add_argument("--window", type=int, default=30)
-    sp.add_argument("--learning-rate", type=float, default=0.001)
-    sp.add_argument("--l2-lambda", type=float, default=0.001)
-    sp.add_argument("--batch-size", type=int, default=1500)
-    sp.add_argument("--epochs", type=int, default=200)
-    sp.add_argument("--patience", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_train_options(sp)
     sp.add_argument("--out", help="write results JSON here")
     _add_common(sp)
 
@@ -191,10 +205,22 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     if unknown:
         raise ConfigError(f"config {path} has unknown option(s) for "
                           f"'{args.command}': {', '.join(sorted(unknown))}")
-    if isinstance(cfg.get("split"), list):
-        cfg["split"] = tuple(float(v) for v in cfg["split"])
-    command.set_defaults(**cfg)
+    # argparse converts a string default with the option's type, so a config
+    # value goes through the same check as the flag's text would
+    command.set_defaults(**{key: _as_flag_text(value, command.get_default(key))
+                            for key, value in cfg.items()})
     return parser.parse_args(argv)
+
+
+def _as_flag_text(value, default):
+    """A config value as the text its flag would take. On/off flags keep their
+    JSON booleans, null stays null where it is the default, and a list (the
+    split) joins with commas."""
+    if isinstance(default, bool) or (value is None and default is None):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
 
 
 def _cmd_gen(args) -> int:
@@ -206,15 +232,12 @@ def _cmd_gen(args) -> int:
         raise ConfigError("--null and --drift are mutually exclusive")
     if args.spec:
         spec = ScenarioSpec.read_json(args.spec)
-    elif args.null:
-        spec = null_scenario(seed=11 if args.seed is None else args.seed,
-                             duration_minutes=args.duration or 2000)
-    elif args.drift:
-        spec = drift_scenario(seed=13 if args.seed is None else args.seed,
-                              duration_minutes=args.duration or 10_800)
     else:
-        spec = default_scenario(seed=7 if args.seed is None else args.seed,
-                                duration_minutes=args.duration or 10_800)
+        # the scenario function supplies whatever the user left unset
+        make_spec = (null_scenario if args.null else
+                     drift_scenario if args.drift else default_scenario)
+        given = {"seed": args.seed, "duration_minutes": args.duration}
+        spec = make_spec(**{k: v for k, v in given.items() if v is not None})
     scenario = generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     stats_path = os.path.join(args.out_dir, "stats.csv")
@@ -233,12 +256,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     frame = load_metrics(args.stats)
-    config = TrainConfig(
-        architecture=args.architecture, window_steps=args.window,
-        stride=args.stride, learning_rate=args.learning_rate,
-        l2_lambda=args.l2_lambda, batch_size=args.batch_size,
-        max_epochs=args.epochs, patience=args.patience, seed=args.seed,
-        split=tuple(args.split))
+    config = _config_from(TrainConfig, args)
     result = train(frame, config)
     if args.verbose:
         for row in result.history:
@@ -296,6 +314,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event")
     start = iso_to_minute(args.start)
@@ -327,9 +347,7 @@ def _cmd_report(args) -> int:
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event") if args.events else None
     scores = detector.score_frame(stats, stride=args.stride)
-    config = ReportConfig(sigma_k=args.sigma, gap_tolerance=args.gap_tolerance,
-                          top_periods=args.top_periods, top_events=args.top_events,
-                          match_margin=args.margin)
+    config = _config_from(ReportConfig, args)
     model_info = {
         "digest": model_digest(args.model),
         "architecture": detector.architecture,
@@ -352,11 +370,7 @@ def _cmd_ablate(args) -> int:
             raise ConfigError("--architectures is empty")
     else:
         archs = TABLE_ARCHITECTURES
-    base = TrainConfig(window_steps=args.window, learning_rate=args.learning_rate,
-                       l2_lambda=args.l2_lambda, batch_size=args.batch_size,
-                       max_epochs=args.epochs, patience=args.patience,
-                       seed=args.seed)
-    rows = run_ablation(frame, archs, base)
+    rows = run_ablation(frame, archs, _config_from(TrainConfig, args))
     width = max(len(r["architecture"]) for r in rows)
     print(f"{'architecture':<{width}}  {'test_mse':>10}  {'val_mse':>10}  best/epochs")
     for r in rows:

@@ -27,8 +27,7 @@ class MetricFrame:
     """A minute-resolution multivariate series.
 
     kind is "stat" for resource/state metrics and "event" for wait-event
-    counters; the pipeline treats them identically, the tag only drives
-    which role a file plays in cause matching.
+    counters. It is a tag for the caller: the pipeline does not read it.
     """
 
     metric_names: tuple[str, ...]
@@ -238,9 +237,6 @@ class GlobalNorm:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
 
 
 @dataclass

@@ -217,21 +217,6 @@ class TrainResult:
     test_scores: ScoreSeries
 
 
-def _l2_term(params: dict[str, np.ndarray], lam: float) -> float:
-    if lam == 0.0:
-        return 0.0
-    total = 0.0
-    for name, p in params.items():
-        if _is_dense_weight(name):
-            total += float(np.sum(p * p))
-    return lam * total
-
-
-def _is_dense_weight(name: str) -> bool:
-    label = name.split(":", 1)[1]
-    return label.startswith("dense") and label.endswith(".weights")
-
-
 def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     """Fit a detector on a metric frame.
 
@@ -251,6 +236,10 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     network = build_network(spec, config.window_steps, frame.n_metrics, rng)
     params = network.parameters()
     optimizer = Adam(params, learning_rate=config.learning_rate)
+    lam = config.l2_lambda
+    # the L2 penalty covers the weights of every dense layer, whatever its role
+    decayed = [name for name in params if lam != 0.0
+               and name.split(":", 1)[1].startswith("dense") and name.endswith(".weights")]
 
     n_train = len(parts.train)
     batch_size = min(config.batch_size, n_train)
@@ -273,17 +262,16 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
             recon = network.forward(batch, training=True)
             resid = recon - batch
             batch_sq = float(np.sum(resid * resid))
-            objective = batch_sq / batch.shape[0] + _l2_term(params, config.l2_lambda)
+            l2 = lam * sum(float(np.sum(params[name] * params[name])) for name in decayed)
+            objective = batch_sq / batch.shape[0] + l2
             if not np.isfinite(objective):
                 raise TrainingError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at window {start}")
             network.backward(mse_loss_grad(recon, batch))
             grads = network.gradients()
-            if config.l2_lambda != 0.0:
-                for name in grads:
-                    if _is_dense_weight(name):
-                        grads[name] = grads[name] + 2.0 * config.l2_lambda * params[name]
+            for name in decayed:
+                grads[name] = grads[name] + 2.0 * lam * params[name]
             optimizer.step(grads)
             sq_sum += batch_sq
             obj_sum += objective * batch.shape[0]

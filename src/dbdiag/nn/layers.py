@@ -36,20 +36,19 @@ class Layer:
 class Dense(Layer):
     """Affine map ``x @ W + b`` on the last axis.
 
-    ``reverse`` and ``is_output`` only tag the layer's role in the
-    encoder/decoder mirror; the computation is identical.
+    ``label`` only names the layer's role in the encoder/decoder mirror
+    (``dense``, ``dense_reverse`` or ``dense_out``); the computation is
+    identical.
     """
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
-                 reverse: bool = False, is_output: bool = False):
+                 label: str = "dense"):
         if n_in <= 0 or n_out <= 0:
             raise ConfigError(f"dense layer sizes must be positive, got {n_in}x{n_out}")
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.weights = rng.uniform(-limit, limit, size=(n_in, n_out))
         self.bias = np.zeros(n_out)
-        self.reverse = reverse
-        self.is_output = is_output
-        self.label = "dense_out" if is_output else ("dense_reverse" if reverse else "dense")
+        self.label = label
         self._x = None
         self.d_weights = None
         self.d_bias = None
@@ -266,13 +265,12 @@ class BatchNorm(Layer):
     on flat [batch, D] activations they pool the batch. Training mode uses
     batch statistics and updates running stats with an exponential moving
     average; inference uses the running stats and refuses to run before the
-    first training update.
+    first training update. ``label`` is ``bn_reverse`` for the decoder-side
+    mirror of a ``bn``; the computation is identical.
     """
 
-    label = "bn"
-
     def __init__(self, width: int, epsilon: float = 1e-5, momentum: float = 0.1,
-                 reverse: bool = False):
+                 label: str = "bn"):
         self.gamma = np.ones(width)
         self.beta = np.zeros(width)
         self.epsilon = epsilon
@@ -280,9 +278,7 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(width)
         self.running_std = np.ones(width)
         self.updates = 0
-        self.reverse = reverse
-        if reverse:
-            self.label = "bn_reverse"
+        self.label = label
         self._cache = None
         self.d_gamma = None
         self.d_beta = None

@@ -17,12 +17,9 @@ class Network:
     restored network scores identically.
     """
 
-    def __init__(self, layers: list[Layer], arch_text: str, window_steps: int,
-                 n_features: int):
+    def __init__(self, layers: list[Layer], arch_text: str):
         self.layers = layers
         self.arch_text = arch_text
-        self.window_steps = window_steps
-        self.n_features = n_features
         self._forward_was_training = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

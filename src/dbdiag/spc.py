@@ -103,17 +103,10 @@ def merge_periods(flagged: np.ndarray, scores: np.ndarray,
     flagged = np.asarray(flagged, dtype=np.int64)
     if flagged.size == 0:
         return []
-    runs: list[list[int]] = [[int(flagged[0])]]
-    for idx in flagged[1:]:
-        if int(idx) - runs[-1][-1] - 1 <= gap_tolerance:
-            runs[-1].append(int(idx))
-        else:
-            runs.append([int(idx)])
-
+    runs = np.split(flagged, np.flatnonzero(np.diff(flagged) - 1 > gap_tolerance) + 1)
     periods = []
     for run in runs:
-        run_scores = scores[run]
-        peak_pos = run[int(np.argmax(run_scores))]
+        peak_pos = run[int(np.argmax(scores[run]))]
         periods.append(AnomalyPeriod(
             feature=feature,
             start=int(window_starts[run[0]]),

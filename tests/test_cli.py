@@ -12,7 +12,8 @@ import pytest
 
 import dbdiag
 from dbdiag import minute_to_iso
-from dbdiag.cli import main
+from dbdiag import ReportConfig, TrainConfig
+from dbdiag.cli import _build_parser, _config_from, _merge_config, main
 from dbdiag.data import json_text
 
 
@@ -142,6 +143,48 @@ class TestExitCodes:
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("variant", [[], ["--null"], ["--drift"]],
+                             ids=["default", "null", "drift"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_zero_duration_is_usage(self, tmp_path, capsys, variant, via_config):
+        argv = ["gen", "--out-dir", str(tmp_path / "out"), *variant]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"duration": 0}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--duration", "0"]
+        assert main(argv) == 2
+        assert "got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,flag", [
+        ("epochs", 1.5, "--epochs"),
+        ("batch_size", 100.0, "--batch-size"),
+        ("learning_rate", "fast", "--learning-rate"),
+        ("split", [0.6, 0.4], "--split"),
+    ])
+    def test_config_value_of_the_wrong_type_is_usage(self, pipeline, tmp_path,
+                                                     capsys, key, value, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(["train", "--stats", pipeline["stats"],
+                   "--model", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_match_top_below_one_is_usage(self, pipeline, tmp_path, capsys, top):
+        out = tmp_path / "matches.json"
+        rc = main(["match", "--stats", pipeline["stats"],
+                   "--events", pipeline["events"], "--feature", "cpu_used",
+                   "--start", "2023-01-01T00:00:00Z",
+                   "--end", "2023-01-01T01:00:00Z", "--top", top,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--top must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -330,6 +373,29 @@ class TestConfigFile:
                      "--sigma", "2.5"]) == 0
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["config"]["sigma_k"] == 2.5
+
+
+@pytest.mark.parametrize("argv,cls", [
+    (["train", "--stats", "s.csv", "--model", "m.json"], TrainConfig),
+    (["ablate", "--stats", "s.csv"], TrainConfig),
+    (["report", "--model", "m.json", "--stats", "s.csv", "--out-dir", "r"],
+     ReportConfig),
+])
+def test_unset_flags_take_the_library_defaults(argv, cls):
+    parser, _ = _build_parser()
+    assert _config_from(cls, parser.parse_args(argv)) == cls()
+
+
+def test_config_values_parse_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"split": [0.5, 0.25, 0.25], "learning_rate": 0.002,
+                               "epochs": 3, "verbose": True}))
+    argv = ["train", "--stats", "s.csv", "--model", "m.json", "--config", str(cfg)]
+    parser, commands = _build_parser()
+    args = _merge_config(parser.parse_args(argv), parser, commands["train"], argv)
+    assert args.verbose is True
+    assert _config_from(TrainConfig, args) == TrainConfig(
+        split=(0.5, 0.25, 0.25), learning_rate=0.002, max_epochs=3)
 
 
 def test_console_entry_point_exists():
