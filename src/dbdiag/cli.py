@@ -207,16 +207,20 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                           f"'{args.command}': {', '.join(sorted(unknown))}")
     # argparse converts a string default with the option's type, so a config
     # value goes through the same check as the flag's text would
-    command.set_defaults(**{key: _as_flag_text(value, command.get_default(key))
+    command.set_defaults(**{key: _as_flag_text(path, key, value, command.get_default(key))
                             for key, value in cfg.items()})
     return parser.parse_args(argv)
 
 
-def _as_flag_text(value, default):
-    """A config value as the text its flag would take. On/off flags keep their
-    JSON booleans, null stays null where it is the default, and a list (the
-    split) joins with commas."""
-    if isinstance(default, bool) or (value is None and default is None):
+def _as_flag_text(path: str, key: str, value, default):
+    """A config value as the text its flag would take. On/off flags take JSON
+    booleans, null stays null where it is the default, and a list (the split)
+    joins with commas."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"config {path}: {key} must be true or false, got {value!r}")
+        return value
+    if value is None and default is None:
         return value
     if isinstance(value, list):
         return ",".join(map(str, value))

@@ -238,8 +238,9 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     optimizer = Adam(params, learning_rate=config.learning_rate)
     lam = config.l2_lambda
     # the L2 penalty covers the weights of every dense layer, whatever its role
-    decayed = [name for name in params if lam != 0.0
-               and name.split(":", 1)[1].startswith("dense") and name.endswith(".weights")]
+    decayed = [] if lam == 0.0 else [
+        name for name in params
+        if name.split(":", 1)[1].startswith("dense") and name.endswith(".weights")]
 
     n_train = len(parts.train)
     batch_size = min(config.batch_size, n_train)

@@ -174,6 +174,14 @@ class TestExitCodes:
         assert rc == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    def test_config_on_off_flag_must_be_a_boolean(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verbose": "false"}))
+        rc = main(["train", "--stats", pipeline["stats"],
+                   "--model", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert "verbose must be true or false" in capsys.readouterr().err
+
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_match_top_below_one_is_usage(self, pipeline, tmp_path, capsys, top):
         out = tmp_path / "matches.json"
