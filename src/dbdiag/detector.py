@@ -32,7 +32,7 @@ from .data import (
     write_minute_csv,
 )
 from .errors import ConfigError, DataError, InternalError, ModelIOError, TrainingError
-from .nn import Adam, Network, mse_loss_grad
+from .nn import Adam, Network
 
 MODEL_FORMAT = "dbdiag-model"
 SCORES_FORMAT = "dbdiag-scores"
@@ -72,6 +72,8 @@ class TrainConfig:
     split: tuple[float, float, float] = field(default=(0.6, 0.2, 0.2))
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed cannot be negative, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -269,7 +271,10 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
                 raise TrainingError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at window {start}")
-            network.backward(mse_loss_grad(recon, batch))
+            # the loss gradient 2 * (recon - batch) / n, built on resid in place
+            resid *= 2.0
+            resid /= batch.shape[0]
+            network.backward(resid)
             grads = network.gradients()
             for name in decayed:
                 grads[name] = grads[name] + 2.0 * lam * params[name]

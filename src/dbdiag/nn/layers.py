@@ -6,6 +6,8 @@ parameters and their gradients as name -> array dicts. No layer writes any
 state in a ``training=False`` forward pass (batch-stat layers read their
 running statistics, and the temporal-norm pair hands its moments over as
 values), so inference is safe to run concurrently on a shared model.
+Layers update in place only arrays they allocated in the same call, never
+their inputs, the upstream gradient or anything they cached.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class Dense(Layer):
                 f"dense layer expects input width {self.n_in}, got shape {x.shape}")
         if training:
             self._x = x
-        return x @ self.weights + self.bias
+        out = x @ self.weights
+        out += self.bias
+        return out
 
     def backward(self, grad):
         if self._x is None:
@@ -139,20 +143,51 @@ class Reshape(Layer):
         return grad.reshape(grad.shape[0], self.window_steps * self.n_features)
 
 
-def _moment_backward(d_norm, norm, denom, std, d_mean, d_std, count, axes):
-    """Input gradient of z-normalization given upstream grad wrt the
-    normalized values plus any external grads wrt the moments.
+def _sum(out, *operands):
+    """Sum a [batch, T, F] array, or the elementwise product of two, over time
+    (``out="bf"``, returned as [batch, 1, F]) or over batch and time
+    (``out="f"``).
+
+    ``einsum`` adds the terms in the same order as numpy's ``sum`` when F > 1,
+    and is several times faster. With one feature numpy reduces along the
+    contiguous time axis pairwise, so that case keeps ``sum`` and its bits.
+    """
+    if operands[0].shape[2] == 1:
+        terms = operands[0] if len(operands) == 1 else operands[0] * operands[1]
+        total = terms.sum(axis=1 if out == "bf" else (0, 1))
+    else:
+        total = np.einsum(",".join(["btf"] * len(operands)) + "->" + out, *operands)
+    return total[:, None, :] if out == "bf" else total
+
+
+def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std, count, axes):
+    """Input gradient of z-normalization given the upstream grad wrt the
+    scaled output ``gamma * norm + beta`` plus any external grads wrt the
+    moments.
 
     ``denom = std + eps`` divides the centered values, ``count`` is the number
     of elements each (mean, std) pair was computed over, ``axes`` the reduced
-    axes. The std path is zero where std == 0 (constant slices normalize to
-    an exact constant, so the one-sided derivative drops that term's factor).
+    axes (1 for the temporal norm's time axis). The std path is zero where
+    std == 0 (constant slices normalize to an exact constant, so the
+    one-sided derivative drops that term's factor).
     """
-    d_mean = d_mean - d_norm.sum(axis=axes, keepdims=True) / denom
-    d_std = d_std - (d_norm * norm).sum(axis=axes, keepdims=True) / denom
-    safe = np.where(std > 0.0, std, 1.0)
-    dstd_dx = np.where(std > 0.0, norm * denom / (count * safe), 0.0)
-    return d_norm / denom + d_mean / count + d_std * dstd_dx
+    d_norm = grad * gamma
+    if axes == 1:
+        d_mean = d_mean - _sum("bf", d_norm) / denom
+        d_std = d_std - _sum("bf", d_norm, norm) / denom
+    else:
+        d_mean = d_mean - d_norm.sum(axis=axes, keepdims=True) / denom
+        d_std = d_std - (d_norm * norm).sum(axis=axes, keepdims=True) / denom
+    positive = std > 0.0
+    dstd_dx = norm * denom
+    dstd_dx /= count * np.where(positive, std, 1.0)
+    if not positive.all():
+        np.copyto(dstd_dx, 0.0, where=~positive)
+    dstd_dx *= d_std
+    d_norm /= denom
+    d_norm += d_mean / count
+    d_norm += dstd_dx
+    return d_norm
 
 
 class TemporalNorm(Layer):
@@ -188,23 +223,27 @@ class TemporalNorm(Layer):
                 f"temporal norm expects [batch, T, {self.gamma.shape[0]}], got {x.shape}")
         if x.shape[1] < 2:
             raise ConfigError("temporal norm needs at least 2 time steps per window")
-        mean = x.mean(axis=1, keepdims=True)
-        std = x.std(axis=1, keepdims=True)
+        steps = x.shape[1]
+        mean = _sum("bf", x) / steps
+        norm = x - mean
+        std = np.sqrt(_sum("bf", norm, norm) / steps)
         denom = std + self.epsilon
-        norm = (x - mean) / denom
+        norm /= denom
         if training:
-            self._cache = (norm, std, denom, x.shape[1])
-        return self.gamma * norm + self.beta, (mean, denom)
+            self._cache = (norm, std, denom, steps)
+        out = self.gamma * norm
+        out += self.beta
+        return out, (mean, denom)
 
     def backward(self, grad):
         if self._cache is None:
             raise InternalError("temporal norm backward called before a training forward pass")
         grad, (d_mean, d_denom) = grad
         norm, std, denom, steps = self._cache
-        self.d_gamma = (grad * norm).sum(axis=(0, 1))
-        self.d_beta = grad.sum(axis=(0, 1))
-        d_norm = grad * self.gamma
-        return _moment_backward(d_norm, norm, denom, std, d_mean, d_denom, steps, axes=1)
+        self.d_gamma = _sum("f", grad, norm)
+        self.d_beta = _sum("f", grad)
+        return _moment_backward(grad, self.gamma, norm, denom, std, d_mean, d_denom,
+                                steps, axes=1)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -235,21 +274,28 @@ class TemporalNormReverse(Layer):
 
     def forward(self, x, training=False):
         x, (mean, denom) = x
-        scaled = self.gamma * x + self.beta
+        scaled = self.gamma * x
+        scaled += self.beta
         if training:
             self._cache = (x, scaled, denom)
-        return scaled * denom + mean
+        out = scaled * denom
+        out += mean
+        return out
 
     def backward(self, grad):
         if self._cache is None:
             raise InternalError("temporal-norm reverse backward called before a "
                                 "training forward pass")
         x, scaled, denom = self._cache
-        self.d_gamma = (grad * x * denom).sum(axis=(0, 1))
-        self.d_beta = (grad * denom).sum(axis=(0, 1))
-        d_moments = (grad.sum(axis=1, keepdims=True),
-                     (grad * scaled).sum(axis=1, keepdims=True))
-        return grad * self.gamma * denom, d_moments
+        work = grad * x
+        work *= denom
+        self.d_gamma = _sum("f", work)
+        np.multiply(grad, denom, out=work)
+        self.d_beta = _sum("f", work)
+        d_moments = (_sum("bf", grad), _sum("bf", grad, scaled))
+        np.multiply(grad, self.gamma, out=work)
+        work *= denom
+        return work, d_moments
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -315,8 +361,8 @@ class BatchNorm(Layer):
         norm, std, denom, count, axes = self._cache
         self.d_gamma = (grad * norm).sum(axis=axes)
         self.d_beta = grad.sum(axis=axes)
-        d_norm = grad * self.gamma
-        return _moment_backward(d_norm, norm, denom, std, 0.0, 0.0, count, axes=axes)
+        return _moment_backward(grad, self.gamma, norm, denom, std, 0.0, 0.0, count,
+                                axes=axes)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import MetricFrame, minute_to_iso
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray,
@@ -118,7 +118,7 @@ def match_events(stat_frame: MetricFrame, feature: str, event_frame: MetricFrame
     is in DTW order.
     """
     if margin < 0:
-        raise DataError(f"margin cannot be negative, got {margin}")
+        raise ConfigError(f"margin cannot be negative, got {margin}")
     if end <= start:
         raise DataError(f"period end {end} is not after start {start}")
     try:

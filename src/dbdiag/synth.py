@@ -149,6 +149,8 @@ class ScenarioSpec:
     baselines: tuple[tuple[str, Baseline], ...] = ()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed cannot be negative, got {self.seed}")
         if self.duration_minutes < 2:
             raise ConfigError(f"duration must be at least 2 minutes, "
                               f"got {self.duration_minutes}")

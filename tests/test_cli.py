@@ -174,6 +174,41 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "train", "gen --spec"])
+    def test_negative_seed_is_usage(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "gen":
+            argv = ["gen", "--out-dir", str(out), "--seed", "-1", "--duration", "700"]
+        elif command == "train":
+            argv = ["train", "--stats", pipeline["stats"], "--model",
+                    str(out / "m.json"), "--seed", "-1"]
+        else:
+            spec = json.loads(open(os.path.join(pipeline["data"],
+                                                "scenario.json")).read())
+            spec["seed"] = -1
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = ["gen", "--spec", str(path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "seed cannot be negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["match", "report"])
+    def test_negative_margin_is_usage(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "match":
+            argv = ["match", "--stats", pipeline["stats"],
+                    "--events", pipeline["events"], "--feature", "cpu_used",
+                    "--start", "2023-01-01T00:00:00Z",
+                    "--end", "2023-01-01T01:00:00Z", "--out", str(out)]
+        else:
+            argv = ["report", "--model", pipeline["model"], "--stats",
+                    pipeline["stats"], "--events", pipeline["events"],
+                    "--out-dir", str(out)]
+        assert main([*argv, "--margin", "-5"]) == 2
+        assert "margin cannot be negative, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_match_top_below_one_is_usage(self, pipeline, tmp_path, capsys, top):
         out = tmp_path / "matches.json"

@@ -5,8 +5,9 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from dbdiag import build_network, parse_architecture
+from dbdiag import TABLE_ARCHITECTURES, build_network, parse_architecture
 from dbdiag.errors import ConfigError, InternalError
 from dbdiag.nn import (
     BatchNorm,
@@ -17,6 +18,7 @@ from dbdiag.nn import (
     TemporalNorm,
     TemporalNormReverse,
 )
+from dbdiag.nn.layers import _moment_backward
 
 
 class TestDense:
@@ -230,3 +232,150 @@ def test_concurrent_inference_on_a_shared_network(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == [0, 0]
+
+
+# Reference formulas for the normalization layers, written with numpy's
+# mean/std/sum. The layers compute the same float operations in the same
+# order with einsum and in-place updates, so they must agree bit for bit.
+
+def _ref_moment_backward(d_norm, norm, denom, std, d_mean, d_std, count, axes):
+    d_mean = d_mean - d_norm.sum(axis=axes, keepdims=True) / denom
+    d_std = d_std - (d_norm * norm).sum(axis=axes, keepdims=True) / denom
+    safe = np.where(std > 0.0, std, 1.0)
+    dstd_dx = np.where(std > 0.0, norm * denom / (count * safe), 0.0)
+    return d_norm / denom + d_mean / count + d_std * dstd_dx
+
+
+def _ref_pair(x, y, grad_out, grad_mid, fwd, rev):
+    """Forward and backward of a BTN ... BTN* pair around a stand-in middle:
+    ``y`` plays the decoder output fed to BTN*, ``grad_mid`` the gradient
+    coming back from the middle into BTN."""
+    mean = x.mean(axis=1, keepdims=True)
+    std = x.std(axis=1, keepdims=True)
+    denom = std + fwd.epsilon
+    norm = (x - mean) / denom
+    out = fwd.gamma * norm + fwd.beta
+    scaled = rev.gamma * y + rev.beta
+    restored = scaled * denom + mean
+    rev_d_gamma = (grad_out * y * denom).sum(axis=(0, 1))
+    rev_d_beta = (grad_out * denom).sum(axis=(0, 1))
+    d_mean = grad_out.sum(axis=1, keepdims=True)
+    d_denom = (grad_out * scaled).sum(axis=1, keepdims=True)
+    rev_dx = grad_out * rev.gamma * denom
+    fwd_d_gamma = (grad_mid * norm).sum(axis=(0, 1))
+    fwd_d_beta = grad_mid.sum(axis=(0, 1))
+    dx = _ref_moment_backward(grad_mid * fwd.gamma, norm, denom, std, d_mean,
+                              d_denom, x.shape[1], axes=1)
+    return dict(out=out, mean=mean, denom=denom, restored=restored,
+                rev_dx=rev_dx, d_mean=d_mean, d_denom=d_denom,
+                rev_d_gamma=rev_d_gamma, rev_d_beta=rev_d_beta,
+                dx=dx, fwd_d_gamma=fwd_d_gamma, fwd_d_beta=fwd_d_beta)
+
+
+def _random_batch(rng):
+    return rng.normal(size=(64, 30, 6)) * 4.0 + 50.0
+
+
+def _tiny_alternating(n):
+    """A zero-mean series whose squares underflow: std is 0 but the centred
+    values are not, the only case in which the std path's zero mask changes
+    ``dstd_dx``."""
+    return 1e-170 * (-1.0) ** np.arange(n)
+
+
+def _zero_std_series(rng):
+    x = rng.normal(size=(5, 12, 4))
+    x[2, :, 1] = 3.5
+    x[3, :, 2] = _tiny_alternating(12)
+    return x
+
+
+def _window_view(rng):
+    frame = rng.normal(size=(300, 6)).cumsum(axis=0)
+    windows = sliding_window_view(frame, 30, axis=0).swapaxes(1, 2)[::7]
+    assert not windows.flags.c_contiguous
+    return windows
+
+
+def _single_window_two_steps(rng):
+    return rng.normal(size=(1, 2, 3))
+
+
+def _single_feature(rng):
+    return rng.normal(size=(40, 50, 1)) * 2.0 - 7.0
+
+
+@pytest.mark.parametrize("make_input", [
+    _random_batch, _zero_std_series, _window_view, _single_window_two_steps,
+    _single_feature])
+def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, rng):
+    x = make_input(rng)
+    batch, steps, feats = x.shape
+    fwd = TemporalNorm(feats)
+    rev = TemporalNormReverse(feats)
+    for layer in (fwd, rev):
+        layer.gamma[:] = rng.normal(1.0, 0.3, feats)
+        layer.beta[:] = rng.normal(0.0, 0.3, feats)
+    y = rng.normal(size=x.shape)
+    grad_out = rng.normal(size=x.shape)
+    grad_mid = rng.normal(size=x.shape)
+    ref = _ref_pair(x, y, grad_out, grad_mid, fwd, rev)
+
+    out, (mean, denom) = fwd.forward(x, training=True)
+    restored = rev.forward((y, (mean, denom)), training=True)
+    rev_dx, (d_mean, d_denom) = rev.backward(grad_out)
+    dx = fwd.backward((grad_mid, (d_mean, d_denom)))
+    got = dict(out=out, mean=mean, denom=denom, restored=restored,
+               rev_dx=rev_dx, d_mean=d_mean, d_denom=d_denom,
+               rev_d_gamma=rev.d_gamma, rev_d_beta=rev.d_beta,
+               dx=dx, fwd_d_gamma=fwd.d_gamma, fwd_d_beta=fwd.d_beta)
+    for name, want in ref.items():
+        assert np.array_equal(got[name], want), name
+
+
+def test_std_path_is_zero_where_std_is_zero():
+    # Centred values this small square to 0, so std is 0 while norm is not;
+    # only the mask keeps the std path out of that feature's gradient.
+    norm = np.full((1, 4, 2), 1e-160)
+    std = np.array([[[0.0, 0.5]]])
+    denom = std + 1e-5
+    grad = np.zeros(norm.shape)
+    d_std = np.ones((1, 1, 2))
+    got = _moment_backward(grad, np.ones(2), norm, denom, std, 0.0, d_std, 4, axes=1)
+    want = _ref_moment_backward(grad, norm, denom, std, 0.0, d_std, 4, axes=1)
+    assert np.array_equal(got, want)
+    assert np.all(got[..., 0] == 0.0) and np.all(got[..., 1] != 0.0)
+
+
+@pytest.mark.parametrize("shape", [(32, 5), (6, 9, 4)])
+def test_batch_norm_backward_matches_reference_bit_for_bit(shape, rng):
+    x = rng.normal(size=shape) * 3.0 + 1.0
+    x[..., 1] = 2.0  # constant and underflowing features have std == 0
+    x[..., 2] = _tiny_alternating(x.size // shape[-1]).reshape(shape[:-1])
+    layer = BatchNorm(shape[-1])
+    layer.gamma[:] = rng.normal(1.0, 0.3, shape[-1])
+    grad = rng.normal(size=shape)
+    axes = tuple(range(x.ndim - 1))
+    std = x.std(axis=axes)
+    denom = std + layer.epsilon
+    norm = (x - x.mean(axis=axes)) / denom
+    want = _ref_moment_backward(grad * layer.gamma, norm, denom, std, 0.0, 0.0,
+                                x.size // shape[-1], axes=axes)
+    layer.forward(x, training=True)
+    assert np.array_equal(layer.backward(grad), want)
+    assert np.array_equal(layer.d_gamma, (grad * norm).sum(axis=axes))
+    assert np.array_equal(layer.d_beta, grad.sum(axis=axes))
+
+
+@pytest.mark.parametrize("text", TABLE_ARCHITECTURES)
+def test_training_pass_never_writes_its_inputs(text, rng):
+    """Layers update only arrays they allocated; a write to the input batch or
+    the upstream gradient would raise on these read-only arrays."""
+    net = build_network(parse_architecture(text), 8, 3, rng)
+    x = rng.normal(size=(5, 8, 3)) * 2.0 + 10.0
+    grad = rng.normal(size=x.shape)
+    x.flags.writeable = False
+    grad.flags.writeable = False
+    out = net.forward(x, training=True)
+    assert out.shape == x.shape
+    assert net.backward(grad).shape == x.shape
