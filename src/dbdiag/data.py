@@ -20,6 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError, DiagError
 
 DEFAULT_WINDOW_STEPS = 30
+# the epoch minutes minute_to_iso can write: years 1 to 9999, UTC
+_FIRST_MINUTE = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp() // 60
+_LAST_MINUTE = datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc).timestamp() // 60
 
 
 @dataclass
@@ -83,6 +86,9 @@ def _parse_timestamp(text: str, row: int) -> int:
     minutes, rem = divmod(seconds, 60.0)
     if rem != 0.0:
         raise DataError(f"timestamp {text!r} in row {row} is not minute-aligned")
+    if not _FIRST_MINUTE <= minutes <= _LAST_MINUTE:
+        raise DataError(f"timestamp {text!r} in row {row} is outside the years "
+                        f"1 to 9999")
     return int(minutes)
 
 
@@ -156,7 +162,7 @@ def _is_float(text: str) -> bool:
 def minute_to_iso(minute: int) -> str:
     """Epoch minute -> UTC ISO-8601 instant ('2023-01-01T00:05:00Z')."""
     instant = datetime.fromtimestamp(int(minute) * 60, tz=timezone.utc)
-    return instant.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return instant.isoformat().replace("+00:00", "Z")
 
 
 def iso_to_minute(text: str) -> int:
@@ -297,8 +303,8 @@ def split_windows(windows: WindowSet,
     training slice. Windows are assumed already in time order (make_windows
     guarantees it). Every slice must end up non-empty.
     """
-    if len(fractions) != 3 or any(f <= 0.0 for f in fractions):
-        raise ConfigError(f"need three positive fractions, got {fractions}")
+    if len(fractions) != 3 or not all(0.0 < f < np.inf for f in fractions):
+        raise ConfigError(f"split needs three finite positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {fractions}")
     n = len(windows)

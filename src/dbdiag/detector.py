@@ -80,10 +80,12 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2_lambda < 0.0:
-            raise ConfigError(f"l2_lambda cannot be negative, got {self.l2_lambda}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
+        if not 0.0 <= self.l2_lambda < np.inf:
+            raise ConfigError(f"l2_lambda must be finite and not negative, "
+                              f"got {self.l2_lambda}")
 
 
 @dataclass
@@ -274,7 +276,7 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
             # the loss gradient 2 * (recon - batch) / n, built on resid in place
             resid *= 2.0
             resid /= batch.shape[0]
-            network.backward(resid)
+            network.backward(resid, input_grad=False)
             grads = network.gradients()
             for name in decayed:
                 grads[name] = grads[name] + 2.0 * lam * params[name]

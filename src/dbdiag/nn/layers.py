@@ -201,8 +201,11 @@ class TemporalNorm(Layer):
 
     ``forward`` returns ``(out, (mean, denom))``: the per-sample moments, each
     [batch, 1, F], go to the paired ``TemporalNormReverse`` at the decoder
-    end. ``backward`` takes ``(grad, (d_mean, d_denom))``, the upstream grad
-    plus the gradients wrt those moments that the reverse layer returned.
+    end. ``backward`` takes ``(grad, handed)``: the upstream grad plus what
+    the reverse layer handed back, its own upstream grad and cached
+    ``scaled``, from which it reduces the gradients wrt the moments. It
+    always sets ``d_gamma``/``d_beta``; with ``handed`` None it stops there
+    and returns None instead of the input gradient.
     """
 
     label = "btn"
@@ -238,10 +241,15 @@ class TemporalNorm(Layer):
     def backward(self, grad):
         if self._cache is None:
             raise InternalError("temporal norm backward called before a training forward pass")
-        grad, (d_mean, d_denom) = grad
+        grad, handed = grad
         norm, std, denom, steps = self._cache
         self.d_gamma = _sum("f", grad, norm)
         self.d_beta = _sum("f", grad)
+        if handed is None:
+            return None
+        out_grad, scaled = handed
+        d_mean = _sum("bf", out_grad)
+        d_denom = _sum("bf", out_grad, scaled)
         return _moment_backward(grad, self.gamma, norm, denom, std, d_mean, d_denom,
                                 steps, axes=1)
 
@@ -258,9 +266,12 @@ class TemporalNormReverse(Layer):
     Applies its own trainable scale/offset, then restores each sample's
     original per-feature level and spread. ``forward`` takes
     ``(x, (mean, denom))``, the moments its paired ``TemporalNorm`` returned
-    in the same pass. ``backward`` returns ``(dx, (d_mean, d_denom))``; the
-    paired layer folds the moment gradients into its input gradient, which
-    keeps input gradients exact.
+    in the same pass. ``backward`` returns ``(dx, (grad, scaled))``, handing
+    its upstream grad and cached ``scaled`` to the paired layer unreduced:
+    the gradients wrt ``mean`` and ``denom`` are the sums over time of
+    ``grad`` and ``grad * scaled``, and only the paired layer's input
+    gradient reads them, so it reduces them there when it computes one.
+    Neither array is written after it is handed over.
     """
 
     label = "btn_reverse"
@@ -292,10 +303,9 @@ class TemporalNormReverse(Layer):
         self.d_gamma = _sum("f", work)
         np.multiply(grad, denom, out=work)
         self.d_beta = _sum("f", work)
-        d_moments = (_sum("bf", grad), _sum("bf", grad, scaled))
         np.multiply(grad, self.gamma, out=work)
         work *= denom
-        return work, d_moments
+        return work, (grad, scaled)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}

@@ -33,8 +33,8 @@ class ReportConfig:
     match_margin: int = 0
 
     def __post_init__(self):
-        if self.sigma_k <= 0.0:
-            raise ConfigError(f"sigma_k must be positive, got {self.sigma_k}")
+        if not 0.0 < self.sigma_k < float("inf"):
+            raise ConfigError(f"sigma_k must be finite and positive, got {self.sigma_k}")
         if self.gap_tolerance < 0:
             raise ConfigError(f"gap_tolerance cannot be negative, "
                               f"got {self.gap_tolerance}")

@@ -43,8 +43,8 @@ def fit_chart(scores: np.ndarray, feature: str, k: float = DEFAULT_SIGMA_K
     if scores.shape[0] < 2:
         raise DataError(f"need at least 2 scores to fit a chart for {feature!r}, "
                         f"got {scores.shape[0]}")
-    if k <= 0.0:
-        raise ConfigError(f"sigma multiplier must be positive, got {k}")
+    if not 0.0 < k < np.inf:
+        raise ConfigError(f"sigma multiplier must be finite and positive, got {k}")
     if not np.all(np.isfinite(scores)):
         raise DataError(f"non-finite score in the chart sample for {feature!r}")
     center = float(scores.mean())

@@ -209,6 +209,49 @@ class TestExitCodes:
         assert "margin cannot be negative, got -5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_non_finite_sigma_is_usage(self, pipeline, tmp_path, capsys, command,
+                                       sigma):
+        out = tmp_path / "out"
+        if command == "detect":
+            scores = str(tmp_path / "scores.json")
+            assert main(["score", "--model", pipeline["model"], "--stats",
+                         pipeline["stats"], "--out", scores]) == 0
+            argv = ["detect", "--scores", scores, "--out", str(out)]
+        else:
+            argv = ["report", "--model", pipeline["model"], "--stats",
+                    pipeline["stats"], "--out-dir", str(out)]
+        assert main([*argv, "--sigma", sigma]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--split", "0.6,nan,0.2", "split needs three finite positive fractions"),
+        ("--learning-rate", "nan", "learning_rate must be finite"),
+        ("--learning-rate", "inf", "learning_rate must be finite"),
+        ("--l2-lambda", "nan", "l2_lambda must be finite"),
+        ("--l2-lambda", "inf", "l2_lambda must be finite"),
+    ])
+    def test_non_finite_training_option_is_usage(self, pipeline, tmp_path, capsys,
+                                                 option, value, message):
+        model = tmp_path / "m.json"
+        rc = main(["train", "--stats", pipeline["stats"], "--model", str(model),
+                   "--epochs", "1", option, value])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("timestamp,a\n"
+                         "2023-01-01T00:00:00Z,1.0\n"
+                         "1e300,2.0\n")
+        rc = main(["train", "--stats", str(stats),
+                   "--model", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert "'1e300' in row 3 is outside the years 1 to 9999" in capsys.readouterr().err
+
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_match_top_below_one_is_usage(self, pipeline, tmp_path, capsys, top):
         out = tmp_path / "matches.json"

@@ -1,5 +1,7 @@
 """CSV ingestion, timestamps, normalization, and windowing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,23 @@ class TestTimestamps:
                         f"2023-01-01T00:01:00Z,2.0\n")
         frame = load_metrics(str(path))
         assert frame.timestamps[0] == 27_875_520
+
+    @pytest.mark.parametrize("minute", [-1_035_593_280, 4_223_371_679])
+    def test_first_and_last_writable_minutes_roundtrip(self, minute):
+        text = minute_to_iso(minute)
+        assert text in ("0001-01-01T00:00:00Z", "9999-12-31T23:59:00Z")
+        assert iso_to_minute(text) == minute
+
+    @pytest.mark.parametrize("text", [
+        "1e300", "-1e300", "60000000000000", "253402300800",
+        "0001-01-01T00:00:00+01:00"])
+    def test_instant_outside_years_1_to_9999_names_text_and_row(self, text, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"timestamp,a\n2023-01-01T00:00:00Z,1.0\n{text},2.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{text!r} in row 3 is outside")):
+            load_metrics(str(path))
+        with pytest.raises(DataError, match="outside the years 1 to 9999"):
+            iso_to_minute(text)
 
     def test_subminute_timestamp_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -240,6 +259,13 @@ class TestSplit:
         ws = make_windows(frame_of(31), window_steps=30)  # 2 windows
         with pytest.raises(ConfigError):
             split_windows(ws)
+
+    @pytest.mark.parametrize("fractions", [
+        (0.6, float("nan"), 0.2), (float("inf"), 0.2, 0.2), (0.6, 0.2, float("-inf"))])
+    def test_non_finite_fraction_rejected(self, fractions):
+        ws = make_windows(frame_of(100), window_steps=30)
+        with pytest.raises(ConfigError, match="split needs three finite"):
+            split_windows(ws, fractions)
 
     def test_fractions_must_sum_to_one(self):
         ws = make_windows(frame_of(100), window_steps=30)

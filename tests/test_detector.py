@@ -35,6 +35,10 @@ class TestTrainConfig:
         {"patience": 0},
         {"learning_rate": 0.0},
         {"l2_lambda": -0.1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"l2_lambda": float("nan")},
+        {"l2_lambda": float("inf")},
     ])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ConfigError):

@@ -18,7 +18,7 @@ from dbdiag.nn import (
     TemporalNorm,
     TemporalNormReverse,
 )
-from dbdiag.nn.layers import _moment_backward
+from dbdiag.nn.layers import _moment_backward, _sum
 
 
 class TestDense:
@@ -323,14 +323,22 @@ def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, rng):
 
     out, (mean, denom) = fwd.forward(x, training=True)
     restored = rev.forward((y, (mean, denom)), training=True)
-    rev_dx, (d_mean, d_denom) = rev.backward(grad_out)
-    dx = fwd.backward((grad_mid, (d_mean, d_denom)))
+    rev_dx, (handed_grad, scaled) = rev.backward(grad_out)
+    dx = fwd.backward((grad_mid, (handed_grad, scaled)))
+    # the moment gradients, reduced from the handed arrays as TemporalNorm does
+    d_mean = _sum("bf", handed_grad)
+    d_denom = _sum("bf", handed_grad, scaled)
     got = dict(out=out, mean=mean, denom=denom, restored=restored,
                rev_dx=rev_dx, d_mean=d_mean, d_denom=d_denom,
                rev_d_gamma=rev.d_gamma, rev_d_beta=rev.d_beta,
                dx=dx, fwd_d_gamma=fwd.d_gamma, fwd_d_beta=fwd.d_beta)
     for name, want in ref.items():
         assert np.array_equal(got[name], want), name
+
+    fwd.d_gamma = fwd.d_beta = None
+    assert fwd.backward((grad_mid, None)) is None
+    assert np.array_equal(fwd.d_gamma, ref["fwd_d_gamma"])
+    assert np.array_equal(fwd.d_beta, ref["fwd_d_beta"])
 
 
 def test_std_path_is_zero_where_std_is_zero():
@@ -370,12 +378,25 @@ def test_batch_norm_backward_matches_reference_bit_for_bit(shape, rng):
 @pytest.mark.parametrize("text", TABLE_ARCHITECTURES)
 def test_training_pass_never_writes_its_inputs(text, rng):
     """Layers update only arrays they allocated; a write to the input batch or
-    the upstream gradient would raise on these read-only arrays."""
+    the upstream gradient would raise on these read-only arrays. The training
+    pass (``input_grad=False``) runs first, so a parameter gradient it failed
+    to set is None, and must match the full backward's bit for bit. Each
+    layer's backward is wrapped in a one-argument function, as a tracer
+    wrapping the layers does, so a per-layer keyword would raise."""
     net = build_network(parse_architecture(text), 8, 3, rng)
+    for layer in net.layers:
+        layer.backward = lambda g, backward=layer.backward: backward(g)
     x = rng.normal(size=(5, 8, 3)) * 2.0 + 10.0
     grad = rng.normal(size=x.shape)
     x.flags.writeable = False
     grad.flags.writeable = False
     out = net.forward(x, training=True)
     assert out.shape == x.shape
+    assert net.backward(grad, input_grad=False) is None
+    got = {name: g.copy() for name, g in net.gradients().items()}
+    net.forward(x, training=True)
     assert net.backward(grad).shape == x.shape
+    want = net.gradients()
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        assert np.array_equal(got[name], g), name

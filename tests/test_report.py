@@ -126,6 +126,11 @@ class TestBuildReport:
         with pytest.raises(ConfigError):
             ReportConfig(top_periods=0)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_sigma_k_must_be_finite(self, k):
+        with pytest.raises(ConfigError, match="sigma_k must be finite"):
+            ReportConfig(sigma_k=k)
+
 
 class TestRenderAndWrite:
     def test_text_rendering_mentions_the_periods(self, built):

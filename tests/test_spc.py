@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbdiag import ScoreSeries, detect, group_periods, merge_periods
-from dbdiag.errors import DataError
+from dbdiag.errors import ConfigError, DataError
 from dbdiag.spc import AnomalyPeriod, find_out_of_control, fit_chart
 
 
@@ -41,6 +41,11 @@ class TestChart:
     def test_needs_two_scores(self):
         with pytest.raises(DataError):
             fit_chart(np.array([1.0]), "f")
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_k_must_be_finite_and_positive(self, k):
+        with pytest.raises(ConfigError, match="sigma multiplier"):
+            fit_chart(np.array([1.0, 2.0, 3.0]), "f", k=k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_names_the_feature(self, bad):
