@@ -259,8 +259,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    frame = load_metrics(args.stats)
     config = _config_from(TrainConfig, args)
+    frame = load_metrics(args.stats)
     result = train(frame, config)
     if args.verbose:
         for row in result.history:
@@ -367,6 +367,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    config = _config_from(TrainConfig, args)
     frame = load_metrics(args.stats)
     if args.architectures:
         archs = tuple(a.strip() for a in args.architectures.split(";") if a.strip())
@@ -374,7 +375,7 @@ def _cmd_ablate(args) -> int:
             raise ConfigError("--architectures is empty")
     else:
         archs = TABLE_ARCHITECTURES
-    rows = run_ablation(frame, archs, _config_from(TrainConfig, args))
+    rows = run_ablation(frame, archs, config)
     width = max(len(r["architecture"]) for r in rows)
     print(f"{'architecture':<{width}}  {'test_mse':>10}  {'val_mse':>10}  best/epochs")
     for r in rows:

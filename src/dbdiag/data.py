@@ -10,9 +10,11 @@ views of the frame's values; a frame with gaps makes one gathered copy.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,7 +72,9 @@ class MetricFrame:
                            self.values[mask], self.kind)
 
 
-def _parse_timestamp(text: str, row: int) -> int:
+def _parse_timestamp(text: str, row: int | None = None) -> int:
+    """Epoch minutes of an ISO-8601 instant or epoch seconds; errors name
+    ``row`` when the text comes from a CSV row."""
     text = text.strip()
     try:
         seconds = float(text)
@@ -79,17 +83,22 @@ def _parse_timestamp(text: str, row: int) -> int:
         try:
             dt = datetime.fromisoformat(iso)
         except ValueError:
-            raise DataError(f"unparseable timestamp {text!r} in row {row}") from None
+            raise _timestamp_error("unparseable timestamp {}", text, row) from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         seconds = dt.timestamp()
     minutes, rem = divmod(seconds, 60.0)
     if rem != 0.0:
-        raise DataError(f"timestamp {text!r} in row {row} is not minute-aligned")
+        raise _timestamp_error("timestamp {} is not minute-aligned", text, row)
     if not _FIRST_MINUTE <= minutes <= _LAST_MINUTE:
-        raise DataError(f"timestamp {text!r} in row {row} is outside the years "
-                        f"1 to 9999")
+        raise _timestamp_error("timestamp {} is outside the years 1 to 9999", text, row)
     return int(minutes)
+
+
+def _timestamp_error(message: str, text: str, row: int | None) -> DataError:
+    # built only on failure, so a CSV row does not pay for its error text
+    where = "" if row is None else f" in row {row}"
+    return DataError(message.format(f"{text!r}{where}"))
 
 
 def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
@@ -167,7 +176,7 @@ def minute_to_iso(minute: int) -> str:
 
 def iso_to_minute(text: str) -> int:
     """Inverse of minute_to_iso; also accepts epoch seconds."""
-    return _parse_timestamp(text, 0)
+    return _parse_timestamp(text)
 
 
 def write_metrics(path: str, frame: MetricFrame) -> None:
@@ -192,18 +201,120 @@ def write_minute_csv(path: str, key: str, minutes: np.ndarray,
                    ([minute_to_iso(m), *map(repr, row.tolist())] for m, row in rows))
 
 
-_JSON_LAYOUT = {"indent": 2, "sort_keys": True}
+# the types json.dumps spells as one token with no "[", "]" or ","
+_SCALAR_TYPES = frozenset((float, int, bool, type(None)))
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _encode(obj, indent: str) -> tuple[str, str]:
+    """``obj`` as (two-space-indented text, compact text), keys sorted in both.
+
+    ``indent`` is the indentation of the line the text starts on. An ndarray
+    is encoded as its ``tolist()``. A list of scalars, or a list of non-empty
+    lists of scalars, is formatted by one ``json.dumps`` call and indented
+    with ``str.replace``, which is safe because no scalar's text holds ``[``,
+    ``]`` or ``,``. Strings go through json's ``encode_basestring_ascii`` and
+    other leaves through ``json.dumps``, so escaping and the spelling of
+    ``NaN`` are json's.
+    """
+    if isinstance(obj, str):
+        text = encode_basestring_ascii(obj)
+        return text, text
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        return _join_members({key: _encode(value, inner) for key, value in obj.items()},
+                             indent)
+    if not isinstance(obj, (list, tuple)):
+        text = json.dumps(obj)
+        return text, text
+    if not obj:
+        return "[]", "[]"
+    types = set(map(type, obj))
+    if types <= _SCALAR_TYPES:
+        compact = _compact(obj)
+        body = compact[1:-1].replace(",", ",\n" + inner)
+        return f"[\n{inner}{body}\n{indent}]", compact
+    if types == {list}:
+        compact = _compact(obj)
+        # one "[" per row means no row nests a list, and with no quote every
+        # entry is a scalar (or {}, which has no "," either)
+        if (compact.count("[") == len(obj) + 1 and "[]" not in compact
+                and '"' not in compact):
+            deeper = inner + "  "
+            body = compact[2:-2].replace(",", ",\n" + deeper).replace(
+                f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
+            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]", compact
+    parts = [_encode(item, inner) for item in obj]
+    pretty = ",\n".join(inner + text for text, _ in parts)
+    return (f"[\n{pretty}\n{indent}]",
+            "[" + ",".join(compact for _, compact in parts) + "]")
+
+
+def _join_members(members: dict, indent: str) -> tuple[str, str]:
+    """The object whose members ``_encode`` gave as ``members``, in both layouts."""
+    if not members:
+        return "{}", "{}"
+    # pieces joined once, so no member's text is copied twice
+    pretty, compact = ["{\n"], ["{"]
+    for key in sorted(members):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        name = encode_basestring_ascii(key)
+        text, short = members[key]
+        pretty += (indent, "  ", name, ": ", text, ",\n")
+        compact += (name, ":", short, ",")
+    pretty[-1] = f"\n{indent}}}"
+    compact[-1] = "}"
+    return "".join(pretty), "".join(compact)
+
+
+def _as_list(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def json_text(payload) -> str:
-    """The layout of every JSON file: two-space indent, sorted keys, newline."""
-    return json.dumps(payload, **_JSON_LAYOUT) + "\n"
+    """The layout of every JSON file: two-space indent, sorted keys, newline.
+
+    ndarrays are written as lists and object keys must be strings. The text
+    equals ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` with
+    every array replaced by its ``tolist()``.
+    """
+    return _encode(payload, "")[0] + "\n"
 
 
-def write_json(path: str, payload) -> None:
-    """Write ``payload`` as ``json_text`` would, streamed into the file."""
+def json_checksum(payload) -> str:
+    """sha256 of the compact, sorted-key JSON text of ``payload``."""
+    return _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                              default=_as_list))
+
+
+def write_json(path: str, payload, checksum_key: str | None = None) -> None:
+    """Write ``payload`` as ``json_text`` would.
+
+    With ``checksum_key``, the written object also holds that member: the
+    ``json_checksum`` of ``payload``, taken from the compact text of the
+    same encoding as the file text, so each value is formatted once.
+    """
+    if checksum_key is None:
+        text = _encode(payload, "")[0]
+    else:
+        members = {key: _encode(value, "  ") for key, value in payload.items()}
+        digest = encode_basestring_ascii(_sha256(_join_members(members, "")[1]))
+        members[checksum_key] = (digest, digest)
+        text = _join_members(members, "")[0]
     with open(path, "w") as fh:
-        json.dump(payload, fh, **_JSON_LAYOUT)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -294,6 +405,14 @@ class SplitWindows:
     test: WindowSet
 
 
+def check_split(fractions: tuple[float, float, float]) -> None:
+    """Refuse a split that is not three finite positive fractions summing to 1."""
+    if len(fractions) != 3 or not all(0.0 < f < np.inf for f in fractions):
+        raise ConfigError(f"split needs three finite positive fractions, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"fractions must sum to 1, got {fractions}")
+
+
 def split_windows(windows: WindowSet,
                   fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
                   ) -> SplitWindows:
@@ -303,10 +422,7 @@ def split_windows(windows: WindowSet,
     training slice. Windows are assumed already in time order (make_windows
     guarantees it). Every slice must end up non-empty.
     """
-    if len(fractions) != 3 or not all(0.0 < f < np.inf for f in fractions):
-        raise ConfigError(f"split needs three finite positive fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {fractions}")
+    check_split(fractions)
     n = len(windows)
     n_val = int(n * fractions[1])
     n_test = int(n * fractions[2])

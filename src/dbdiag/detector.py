@@ -12,7 +12,6 @@ window sizes stay comparable.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,9 @@ from .data import (
     GlobalNorm,
     MetricFrame,
     WindowSet,
+    check_split,
     iso_to_minute,
+    json_checksum,
     make_windows,
     minute_to_iso,
     read_json,
@@ -86,6 +87,7 @@ class TrainConfig:
         if not 0.0 <= self.l2_lambda < np.inf:
             raise ConfigError(f"l2_lambda must be finite and not negative, "
                               f"got {self.l2_lambda}")
+        check_split(self.split)
 
 
 @dataclass
@@ -320,29 +322,19 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
                        test_mse, test_scores)
 
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def save_model(detector: Detector, path: str) -> None:
     """Write a detector as versioned JSON with an integrity checksum."""
-    state = detector.network.get_state()
     payload = {
         "format": MODEL_FORMAT,
         "format_version": FORMAT_VERSION,
         "architecture": detector.architecture,
         "window_steps": detector.window_steps,
         "feature_names": list(detector.feature_names),
-        "normalization": {
-            "mean": detector.norm.mean.tolist(),
-            "std": detector.norm.std.tolist(),
-        },
-        "state": {name: value.tolist() for name, value in state.items()},
+        "normalization": {"mean": detector.norm.mean, "std": detector.norm.std},
+        "state": detector.network.get_state(),
         "training": detector.training_meta,
     }
-    payload["checksum"] = hashlib.sha256(
-        _canonical_json(payload).encode()).hexdigest()
-    write_json(path, payload)
+    write_json(path, payload, checksum_key="checksum")
 
 
 def load_model(path: str) -> Detector:
@@ -354,8 +346,7 @@ def load_model(path: str) -> Detector:
             f"unsupported model format version {payload.get('format_version')!r}")
     stored = payload.get("checksum")
     stripped = {k: v for k, v in payload.items() if k != "checksum"}
-    actual = hashlib.sha256(_canonical_json(stripped).encode()).hexdigest()
-    if stored != actual:
+    if stored != json_checksum(stripped):
         raise ModelIOError(f"{path} failed its integrity check; the file is corrupt")
     try:
         spec = parse_architecture(payload["architecture"])

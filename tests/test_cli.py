@@ -242,6 +242,20 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("command,option,value,message", [
+        ("train", "--split", "0.6,nan,0.2", "split needs three finite positive fractions"),
+        ("ablate", "--learning-rate", "nan", "learning_rate must be finite"),
+    ])
+    def test_bad_training_option_is_refused_before_the_csv_is_read(
+            self, tmp_path, capsys, command, option, value, message):
+        argv = [command, "--stats", str(tmp_path / "missing.csv"), option, value]
+        argv += (["--model", str(tmp_path / "m.json")] if command == "train"
+                 else ["--out", str(tmp_path / "ablate.json")])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing.csv" not in err
+
     def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys):
         stats = tmp_path / "stats.csv"
         stats.write_text("timestamp,a\n"
@@ -400,6 +414,8 @@ class TestPipeline:
         for path in paths + [pipeline["model"]]:
             text = open(path).read()
             assert text == json_text(json.loads(text)), path
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True) + "\n", path
 
 
 class TestConfigFile:

@@ -1,20 +1,32 @@
-"""CSV ingestion, timestamps, normalization, and windowing."""
+"""CSV ingestion, timestamps, normalization, windowing, and the JSON codec."""
 
+import ast
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbdiag
 from dbdiag import (
+    TABLE_ARCHITECTURES,
+    Detector,
     GlobalNorm,
     MetricFrame,
+    build_network,
     iso_to_minute,
     load_metrics,
+    load_model,
     make_windows,
     minute_to_iso,
+    parse_architecture,
+    save_model,
     split_windows,
     write_metrics,
 )
+from dbdiag.data import json_checksum, json_text, write_json
 from dbdiag.errors import ConfigError, DataError
 
 
@@ -91,6 +103,16 @@ class TestTimestamps:
             load_metrics(str(path))
         with pytest.raises(DataError, match="outside the years 1 to 9999"):
             iso_to_minute(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("1e300", "timestamp '1e300' is outside the years 1 to 9999"),
+        ("2023-01-01T00:00:30Z", "timestamp '2023-01-01T00:00:30Z' is not minute-aligned"),
+        ("yesterday", "unparseable timestamp 'yesterday'"),
+    ])
+    def test_iso_to_minute_errors_name_only_the_text(self, text, message):
+        with pytest.raises(DataError) as info:
+            iso_to_minute(text)
+        assert str(info.value) == message
 
     def test_subminute_timestamp_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -271,3 +293,122 @@ class TestSplit:
         ws = make_windows(frame_of(100), window_steps=30)
         with pytest.raises(ConfigError):
             split_windows(ws, (0.5, 0.2, 0.2))
+
+
+def as_lists(payload):
+    """``payload`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: as_lists(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [as_lists(item) for item in payload]
+    return payload
+
+
+def oracle_text(payload) -> str:
+    """The layout every JSON file had when ``json.dump`` wrote it."""
+    return json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
+
+
+def oracle_checksum(payload) -> str:
+    """sha256 of the compact text model checksums were first taken over."""
+    return hashlib.sha256(json.dumps(as_lists(payload), sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
+
+
+CODEC_PAYLOADS = {
+    "empty_object": {},
+    "empty_list": [],
+    "empty_arrays": {"a": np.zeros(0), "b": np.zeros((0, 3)), "c": np.zeros((3, 0)),
+                     "d": []},
+    "zero_d_int_array": {"0:bn.updates": np.array(7), "n": np.array(-2.5)},
+    "awkward_floats": {"x": np.array([-0.0, 5e-324, 1e16, 1e-7, 1e22, np.nan,
+                                      np.inf, -np.inf, 0.1, 1e300])},
+    "matrix_in_nested_dicts": {"z": {"y": {"m": np.arange(12.0).reshape(3, 4) / 7,
+                                           "i": np.arange(6).reshape(2, 3)}},
+                               "a": 1},
+    "float32_and_bool_arrays": {"f": np.linspace(0, 1, 5, dtype=np.float32),
+                                "b": np.array([[True, False], [False, True]])},
+    "three_d_array": np.arange(24.0).reshape(2, 3, 4),
+    "list_of_arrays": [np.arange(3), np.arange(2.0), np.zeros((2, 2))],
+    "non_ascii_names": {"feature_names": ["cpu_ü", "日本", "a,b", "[c]", 'q"r', "s\nt"],
+                        "naïve": "☃"},
+    "python_lists": [[1, 2.5, None, True], [False, -1e-300, float("nan"), 3], [{}]],
+    "irregular_lists": [[1, [2, 3]], [], [[]], [4], (5, 6.0), [{"k": [1]}],
+                        [["s", "t,]"], [1.5, "x"]]],
+    "history_rows": [{"epoch": i, "val_mse": i / 3, "note": None} for i in range(3)],
+    "top_level_scalars": [1.5, "text", None, float("inf"), -7],
+    "bare_string": "report",
+    "bare_nan": float("nan"),
+}
+
+
+class TestJsonCodec:
+    @pytest.mark.parametrize("payload", list(CODEC_PAYLOADS.values()),
+                             ids=list(CODEC_PAYLOADS))
+    def test_text_matches_json_dumps(self, payload, tmp_path):
+        assert json_text(payload) == oracle_text(payload)
+        path = tmp_path / "out.json"
+        write_json(str(path), payload)
+        assert path.read_text() == oracle_text(payload)
+
+    @pytest.mark.parametrize("payload", list(CODEC_PAYLOADS.values()),
+                             ids=list(CODEC_PAYLOADS))
+    def test_checksum_is_over_the_compact_json_dumps_text(self, payload):
+        assert json_checksum(payload) == oracle_checksum(payload)
+
+    @pytest.mark.parametrize("value", list(CODEC_PAYLOADS.values()),
+                             ids=list(CODEC_PAYLOADS))
+    def test_checksum_member_is_taken_over_the_rest(self, value, tmp_path):
+        payload = {"value": value, "b": np.arange(6.0).reshape(2, 3), "ü": "z"}
+        path = tmp_path / "out.json"
+        write_json(str(path), payload, checksum_key="checksum")
+        assert path.read_text() == oracle_text(
+            {**payload, "checksum": oracle_checksum(payload)})
+
+    def test_non_string_keys_are_refused(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            json_text({"a": {1: 2.0}})
+
+    @pytest.mark.parametrize("architecture", TABLE_ARCHITECTURES)
+    def test_save_model_writes_the_json_dumps_layout(self, architecture, tmp_path):
+        rng = np.random.default_rng(3)
+        names = ("cpu_ü", "io")
+        network = build_network(parse_architecture(architecture), 4, len(names), rng)
+        norm = GlobalNorm(names, rng.normal(size=2), rng.random(2) + 0.5)
+        detector = Detector(network, norm, 4, names, {"seed": 0, "val_mse": 0.25})
+        path = tmp_path / "model.json"
+        save_model(detector, str(path))
+        payload = {
+            "format": "dbdiag-model",
+            "format_version": 1,
+            "architecture": architecture,
+            "window_steps": 4,
+            "feature_names": list(names),
+            "normalization": {"mean": norm.mean, "std": norm.std},
+            "state": network.get_state(),
+            "training": {"seed": 0, "val_mse": 0.25},
+        }
+        payload["checksum"] = oracle_checksum(payload)
+        assert path.read_text() == oracle_text(payload)
+        loaded = load_model(str(path)).network.get_state()
+        for name, value in network.get_state().items():
+            np.testing.assert_array_equal(loaded[name], value)
+
+
+def test_only_data_py_calls_json_dump():
+    """Every JSON file is written by data.py's one encoder."""
+    package = Path(dbdiag.__file__).parent
+    callers = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "data.py" and path.parent == package:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                callers.append(f"{path.relative_to(package)}:{node.lineno}")
+            if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(a.name in ("dump", "dumps") for a in node.names)):
+                callers.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert callers == []

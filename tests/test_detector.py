@@ -39,6 +39,9 @@ class TestTrainConfig:
         {"learning_rate": float("inf")},
         {"l2_lambda": float("nan")},
         {"l2_lambda": float("inf")},
+        {"split": (0.6, float("nan"), 0.2)},
+        {"split": (0.5, 0.2, 0.2)},
+        {"split": (0.5, 0.5)},
     ])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -159,6 +162,16 @@ class TestScoring:
         np.testing.assert_array_equal(back.window_starts, scores.window_starts)
         assert back.feature_names == scores.feature_names
         assert back.window_steps == scores.window_steps
+
+    def test_score_file_with_a_bad_start_names_only_the_text(self, tiny_run, tmp_path):
+        path = tmp_path / "scores.json"
+        tiny_run.result.test_scores.write_json(str(path))
+        doc = json.loads(path.read_text())
+        doc["window_starts"][0] = "1e300"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as info:
+            ScoreSeries.read_json(str(path))
+        assert str(info.value) == "timestamp '1e300' is outside the years 1 to 9999"
 
 
 class TestModelIO:
