@@ -33,7 +33,6 @@ from .errors import ArchitectureError
 from .nn import (
     BatchNorm,
     Dense,
-    Flatten,
     Network,
     ReLU,
     Reshape,
@@ -168,7 +167,7 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
     """Compile a parsed architecture into a concrete layer stack.
 
     The stack runs on [batch, window_steps, n_features] arrays. Dense tokens
-    operate on the flattened window; a Flatten is inserted before the first
+    operate on the flattened window; a Reshape is inserted before the first
     one and the implicit output layer reshapes back.
     """
     if window_steps < 2:
@@ -177,6 +176,7 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
         raise ArchitectureError("need at least one feature")
 
     flat_width = window_steps * n_features
+    window, flat = (window_steps, n_features), (flat_width,)
     layers: list = []
 
     # Trailing normalization reversals run on the structured [B, T, F] view
@@ -192,7 +192,7 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
     for tok in body:
         if tok.kind == "dense":
             if structured:
-                layers.append(Flatten(window_steps, n_features))
+                layers.append(Reshape(window, flat))
                 structured = False
             layers.append(Dense(width, tok.units, rng,
                                 label="dense_reverse" if tok.starred else "dense"))
@@ -209,9 +209,9 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
             layers.append(TemporalNorm(n_features))
 
     if structured:
-        layers.append(Flatten(window_steps, n_features))
+        layers.append(Reshape(window, flat))
     layers.append(Dense(width, flat_width, rng, label="dense_out"))
-    layers.append(Reshape(window_steps, n_features))
+    layers.append(Reshape(flat, window))
 
     for tok in trailing:
         if tok.kind == "bn":

@@ -289,16 +289,17 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    config = _config_from(ReportConfig, args)
     scores = ScoreSeries.read_json(args.scores)
     baseline = ScoreSeries.read_json(args.baseline) if args.baseline else None
-    result = detect(scores, k=args.sigma, gap_tolerance=args.gap_tolerance,
+    result = detect(scores, k=config.sigma_k, gap_tolerance=config.gap_tolerance,
                     baseline=baseline)
     groups = group_periods(result)
     payload = {
         "format": "dbdiag-detections",
         "format_version": 1,
-        "sigma_k": args.sigma,
-        "gap_tolerance": args.gap_tolerance,
+        "sigma_k": config.sigma_k,
+        "gap_tolerance": config.gap_tolerance,
         "charts": {
             name: {**chart.to_dict(),
                    "flagged_windows": int(result.flagged[name].size)}
@@ -310,7 +311,7 @@ def _cmd_detect(args) -> int:
     write_json(args.out, payload)
     total = sum(len(p) for p in result.periods.values())
     print(f"{total} per-feature period(s) in {len(groups)} group(s) "
-          f"at {args.sigma:g} sigma -> {args.out}")
+          f"at {config.sigma_k:g} sigma -> {args.out}")
     for g in groups:
         print(f"  rank {g.rank}: {minute_to_iso(g.start)} .. {minute_to_iso(g.end)} "
               f"primary {g.primary_feature} peak {g.peak_score:.4g}")
@@ -320,12 +321,13 @@ def _cmd_detect(args) -> int:
 def _cmd_match(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
+    config = _config_from(ReportConfig, args)
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event")
     start = iso_to_minute(args.start)
     end = iso_to_minute(args.end)
     matches = match_events(stats, args.feature, events, start, end,
-                           margin=args.margin)
+                           margin=config.match_margin)
     shown = matches[:args.top]
     width = max((len(m.event) for m in shown), default=5)
     print(f"{'event':<{width}}  {'dtw':>10}  {'corr':>7}  rank_dtw  rank_corr")
@@ -341,17 +343,17 @@ def _cmd_match(args) -> int:
                          m.rank_dtw, m.rank_correlation] for m in matches])
     elif args.out:
         write_json(args.out, {"feature": args.feature, "start": args.start,
-                              "end": args.end, "margin": args.margin,
+                              "end": args.end, "margin": config.match_margin,
                               "matches": [m.to_dict() for m in matches]})
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
+    config = _config_from(ReportConfig, args)
     detector = load_model(args.model)
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event") if args.events else None
     scores = detector.score_frame(stats, stride=args.stride)
-    config = _config_from(ReportConfig, args)
     model_info = {
         "digest": model_digest(args.model),
         "architecture": detector.architecture,

@@ -205,17 +205,13 @@ def write_minute_csv(path: str, key: str, minutes: np.ndarray,
 _SCALAR_TYPES = frozenset((float, int, bool, type(None)))
 
 
-def _compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _encode(obj, indent: str) -> tuple[str, str]:
     """``obj`` as (two-space-indented text, compact text), keys sorted in both.
 
     ``indent`` is the indentation of the line the text starts on. An ndarray
-    is encoded as its ``tolist()``. A list of scalars, or a list of non-empty
-    lists of scalars, is formatted by one ``json.dumps`` call and indented
-    with ``str.replace``, which is safe because no scalar's text holds ``[``,
+    is encoded as its ``tolist()``. A list of scalars, such as each row of a
+    matrix, is formatted by one ``json.dumps`` call and indented with
+    ``str.replace``, which is safe because no scalar's text holds ``[``,
     ``]`` or ``,``. Strings go through json's ``encode_basestring_ascii`` and
     other leaves through ``json.dumps``, so escaping and the spelling of
     ``NaN`` are json's.
@@ -234,21 +230,10 @@ def _encode(obj, indent: str) -> tuple[str, str]:
         return text, text
     if not obj:
         return "[]", "[]"
-    types = set(map(type, obj))
-    if types <= _SCALAR_TYPES:
-        compact = _compact(obj)
+    if set(map(type, obj)) <= _SCALAR_TYPES:
+        compact = json.dumps(obj, separators=(",", ":"))
         body = compact[1:-1].replace(",", ",\n" + inner)
         return f"[\n{inner}{body}\n{indent}]", compact
-    if types == {list}:
-        compact = _compact(obj)
-        # one "[" per row means no row nests a list, and with no quote every
-        # entry is a scalar (or {}, which has no "," either)
-        if (compact.count("[") == len(obj) + 1 and "[]" not in compact
-                and '"' not in compact):
-            deeper = inner + "  "
-            body = compact[2:-2].replace(",", ",\n" + deeper).replace(
-                f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
-            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]", compact
     parts = [_encode(item, inner) for item in obj]
     pretty = ",\n".join(inner + text for text, _ in parts)
     return (f"[\n{pretty}\n{indent}]",

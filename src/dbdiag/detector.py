@@ -33,7 +33,7 @@ from .data import (
     write_minute_csv,
 )
 from .errors import ConfigError, DataError, InternalError, ModelIOError, TrainingError
-from .nn import Adam, Network
+from .nn import Adam, Network, squared_error
 
 MODEL_FORMAT = "dbdiag-model"
 SCORES_FORMAT = "dbdiag-scores"
@@ -266,19 +266,14 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
         obj_sum = 0.0
         for start in range(0, n_train, batch_size):
             batch = parts.train.windows[order[start:start + batch_size]]
-            recon = network.forward(batch, training=True)
-            resid = recon - batch
-            batch_sq = float(np.sum(resid * resid))
+            batch_sq, grad = squared_error(network.forward(batch, training=True), batch)
             l2 = lam * sum(float(np.sum(params[name] * params[name])) for name in decayed)
             objective = batch_sq / batch.shape[0] + l2
             if not np.isfinite(objective):
                 raise TrainingError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at window {start}")
-            # the loss gradient 2 * (recon - batch) / n, built on resid in place
-            resid *= 2.0
-            resid /= batch.shape[0]
-            network.backward(resid, input_grad=False)
+            network.backward(grad, input_grad=False)
             grads = network.gradients()
             for name in decayed:
                 grads[name] = grads[name] + 2.0 * lam * params[name]

@@ -1,14 +1,13 @@
 from .layers import (
     BatchNorm,
     Dense,
-    Flatten,
     Layer,
     ReLU,
     Reshape,
     TemporalNorm,
     TemporalNormReverse,
 )
-from .losses import mse_loss, mse_loss_grad
+from .losses import squared_error
 from .network import Network
 from .optim import Adam
 
@@ -16,13 +15,11 @@ __all__ = [
     "Adam",
     "BatchNorm",
     "Dense",
-    "Flatten",
     "Layer",
     "Network",
     "ReLU",
     "Reshape",
     "TemporalNorm",
     "TemporalNormReverse",
-    "mse_loss",
-    "mse_loss_grad",
+    "squared_error",
 ]

@@ -10,15 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import ReLU, TemporalNorm, TemporalNormReverse
-from .losses import mse_loss, mse_loss_grad
+from .losses import squared_error
 from .network import Network
 
 
 def analytic_gradients(net: Network, x: np.ndarray,
                        target: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """One forward/backward pass; returns (param grads, input grad)."""
-    pred = net.forward(x, training=True)
-    d_input = net.backward(mse_loss_grad(pred, target))
+    """One forward/backward pass of the training objective; returns (param
+    grads, input grad)."""
+    _, grad = squared_error(net.forward(x, training=True), target)
+    d_input = net.backward(grad)
     return net.gradients(), d_input
 
 
@@ -33,7 +34,7 @@ def numeric_gradients(net: Network, x: np.ndarray, target: np.ndarray,
     """
 
     def loss_at() -> float:
-        return mse_loss(net.forward(x, training=True), target)
+        return squared_error(net.forward(x, training=True), target)[0] / x.shape[0]
 
     param_grads = {}
     for name, p in net.parameters().items():

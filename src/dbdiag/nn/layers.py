@@ -7,7 +7,12 @@ state in a ``training=False`` forward pass (batch-stat layers read their
 running statistics, and the temporal-norm pair hands its moments over as
 values), so inference is safe to run concurrently on a shared model.
 Layers update in place only arrays they allocated in the same call, never
-their inputs, the upstream gradient or anything they cached.
+their inputs, the upstream gradient or anything they cached. The one
+exception is the running statistics: a training forward pass of
+``BatchNorm`` updates ``running_mean``, ``running_std`` and ``updates`` in
+place. Those arrays and the parameters are what ``state()`` returns, and the
+optimizer and ``Network.set_state`` write them in place too, so a snapshot
+of them must be a copy, as ``Network.get_state`` takes.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ class Layer:
 
     def grads(self) -> dict[str, np.ndarray]:
         return {}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """The live arrays a snapshot restores: the parameters, by default."""
+        return self.params()
 
 
 class Dense(Layer):
@@ -104,43 +113,24 @@ class ReLU(Layer):
         return grad * self._mask
 
 
-class Flatten(Layer):
-    """[batch, T, F] -> [batch, T*F], row-major (time-major) order."""
-
-    label = "flatten"
-
-    def __init__(self, window_steps: int, n_features: int):
-        self.window_steps = window_steps
-        self.n_features = n_features
-
-    def forward(self, x, training=False):
-        if x.ndim != 3 or x.shape[1:] != (self.window_steps, self.n_features):
-            raise ConfigError(
-                f"flatten expects [batch, {self.window_steps}, {self.n_features}], "
-                f"got {x.shape}")
-        return x.reshape(x.shape[0], self.window_steps * self.n_features)
-
-    def backward(self, grad):
-        return grad.reshape(grad.shape[0], self.window_steps, self.n_features)
-
-
 class Reshape(Layer):
-    """[batch, T*F] -> [batch, T, F]; inverse of Flatten."""
+    """[batch, *in_shape] -> [batch, *out_shape]; a [batch, T, F] window
+    flattens in row-major (time-major) order."""
 
     label = "reshape"
 
-    def __init__(self, window_steps: int, n_features: int):
-        self.window_steps = window_steps
-        self.n_features = n_features
+    def __init__(self, in_shape: tuple[int, ...], out_shape: tuple[int, ...]):
+        self.in_shape = tuple(in_shape)
+        self.out_shape = tuple(out_shape)
 
     def forward(self, x, training=False):
-        width = self.window_steps * self.n_features
-        if x.ndim != 2 or x.shape[1] != width:
-            raise ConfigError(f"reshape expects width {width}, got shape {x.shape}")
-        return x.reshape(x.shape[0], self.window_steps, self.n_features)
+        if x.shape[1:] != self.in_shape:
+            raise ConfigError(f"reshape expects {self.in_shape} after the batch axis, "
+                              f"got {x.shape}")
+        return x.reshape(x.shape[0], *self.out_shape)
 
     def backward(self, grad):
-        return grad.reshape(grad.shape[0], self.window_steps * self.n_features)
+        return grad.reshape(grad.shape[0], *self.in_shape)
 
 
 def _sum(out, *operands):
@@ -169,15 +159,12 @@ def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std, count, axes):
     of elements each (mean, std) pair was computed over, ``axes`` the reduced
     axes (1 for the temporal norm's time axis). The std path is zero where
     std == 0 (constant slices normalize to an exact constant, so the
-    one-sided derivative drops that term's factor).
+    one-sided derivative drops that term's factor). Training never calls it
+    for a temporal norm, which is always the first layer.
     """
     d_norm = grad * gamma
-    if axes == 1:
-        d_mean = d_mean - _sum("bf", d_norm) / denom
-        d_std = d_std - _sum("bf", d_norm, norm) / denom
-    else:
-        d_mean = d_mean - d_norm.sum(axis=axes, keepdims=True) / denom
-        d_std = d_std - (d_norm * norm).sum(axis=axes, keepdims=True) / denom
+    d_mean = d_mean - d_norm.sum(axis=axes, keepdims=True) / denom
+    d_std = d_std - (d_norm * norm).sum(axis=axes, keepdims=True) / denom
     positive = std > 0.0
     dstd_dx = norm * denom
     dstd_dx /= count * np.where(positive, std, 1.0)
@@ -190,13 +177,30 @@ def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std, count, axes):
     return d_norm
 
 
-class TemporalNorm(Layer):
+class ScaleShift(Layer):
+    """A layer with a trainable per-feature scale ``gamma`` and shift ``beta``."""
+
+    def __init__(self, width: int):
+        self.gamma = np.ones(width)
+        self.beta = np.zeros(width)
+        self._cache = None
+        self.d_gamma = None
+        self.d_beta = None
+
+    def params(self):
+        return {"gamma": self.gamma, "beta": self.beta}
+
+    def grads(self):
+        return {"gamma": self.d_gamma, "beta": self.d_beta}
+
+
+class TemporalNorm(ScaleShift):
     """Normalizes each (sample, feature) series along its own time axis.
 
     Every window leaves the layer with per-feature mean 0 and standard
     deviation ~1 regardless of where in the original series it was cut,
     which is what lets one model handle level shifts and trends. Uses the
-    population std plus ``epsilon`` (added to the std, not the variance), so
+    population std plus ``EPSILON`` (added to the std, not the variance), so
     constant series map to 0 instead of failing.
 
     ``forward`` returns ``(out, (mean, denom))``: the per-sample moments, each
@@ -209,16 +213,7 @@ class TemporalNorm(Layer):
     """
 
     label = "btn"
-
-    def __init__(self, n_features: int, epsilon: float = 1e-5):
-        if epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
-        self.gamma = np.ones(n_features)
-        self.beta = np.zeros(n_features)
-        self.epsilon = epsilon
-        self._cache = None
-        self.d_gamma = None
-        self.d_beta = None
+    EPSILON = 1e-5
 
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[2] != self.gamma.shape[0]:
@@ -230,7 +225,7 @@ class TemporalNorm(Layer):
         mean = _sum("bf", x) / steps
         norm = x - mean
         std = np.sqrt(_sum("bf", norm, norm) / steps)
-        denom = std + self.epsilon
+        denom = std + self.EPSILON
         norm /= denom
         if training:
             self._cache = (norm, std, denom, steps)
@@ -253,14 +248,8 @@ class TemporalNorm(Layer):
         return _moment_backward(grad, self.gamma, norm, denom, std, d_mean, d_denom,
                                 steps, axes=1)
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
 
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
-
-
-class TemporalNormReverse(Layer):
+class TemporalNormReverse(ScaleShift):
     """Decoder end of a temporal-norm pair.
 
     Applies its own trainable scale/offset, then restores each sample's
@@ -275,13 +264,6 @@ class TemporalNormReverse(Layer):
     """
 
     label = "btn_reverse"
-
-    def __init__(self, n_features: int):
-        self.gamma = np.ones(n_features)
-        self.beta = np.zeros(n_features)
-        self._cache = None
-        self.d_gamma = None
-        self.d_beta = None
 
     def forward(self, x, training=False):
         x, (mean, denom) = x
@@ -307,37 +289,27 @@ class TemporalNormReverse(Layer):
         work *= denom
         return work, (grad, scaled)
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
 
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
-
-
-class BatchNorm(Layer):
+class BatchNorm(ScaleShift):
     """Batch normalization over every axis except the last (feature) axis.
 
     On [batch, T, F] input the moments pool batches and time steps together;
     on flat [batch, D] activations they pool the batch. Training mode uses
-    batch statistics and updates running stats with an exponential moving
-    average; inference uses the running stats and refuses to run before the
-    first training update. ``label`` is ``bn_reverse`` for the decoder-side
-    mirror of a ``bn``; the computation is identical.
+    batch statistics and updates the running stats in place with an
+    exponential moving average; inference uses the running stats and refuses
+    to run before the first training update. ``label`` is ``bn_reverse`` for
+    the decoder-side mirror of a ``bn``; the computation is identical.
     """
 
-    def __init__(self, width: int, epsilon: float = 1e-5, momentum: float = 0.1,
-                 label: str = "bn"):
-        self.gamma = np.ones(width)
-        self.beta = np.zeros(width)
-        self.epsilon = epsilon
-        self.momentum = momentum
+    EPSILON = 1e-5
+    MOMENTUM = 0.1
+
+    def __init__(self, width: int, label: str = "bn"):
+        super().__init__(width)
         self.running_mean = np.zeros(width)
         self.running_std = np.ones(width)
-        self.updates = 0
+        self.updates = np.array(0)
         self.label = label
-        self._cache = None
-        self.d_gamma = None
-        self.d_beta = None
 
     @property
     def width(self) -> int:
@@ -351,10 +323,12 @@ class BatchNorm(Layer):
         if training:
             mean = x.mean(axis=axes)
             std = x.std(axis=axes)
-            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_std = (1.0 - self.momentum) * self.running_std + self.momentum * std
+            self.running_mean *= 1.0 - self.MOMENTUM
+            self.running_mean += self.MOMENTUM * mean
+            self.running_std *= 1.0 - self.MOMENTUM
+            self.running_std += self.MOMENTUM * std
             self.updates += 1
-            denom = std + self.epsilon
+            denom = std + self.EPSILON
             norm = (x - mean) / denom
             count = x.size // self.width
             self._cache = (norm, std, denom, count, axes)
@@ -362,7 +336,7 @@ class BatchNorm(Layer):
             if self.updates == 0:
                 raise ConfigError("batch norm has no running statistics yet; "
                                   "train before running inference")
-            norm = (x - self.running_mean) / (self.running_std + self.epsilon)
+            norm = (x - self.running_mean) / (self.running_std + self.EPSILON)
         return self.gamma * norm + self.beta
 
     def backward(self, grad):
@@ -374,8 +348,6 @@ class BatchNorm(Layer):
         return _moment_backward(grad, self.gamma, norm, denom, std, 0.0, 0.0, count,
                                 axes=axes)
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
+    def state(self):
+        return {**self.params(), "running_mean": self.running_mean,
+                "running_std": self.running_std, "updates": self.updates}

@@ -14,18 +14,16 @@ import numpy as np
 from ..errors import InternalError
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
+def squared_error(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """The batch's summed squared error and the gradient wrt ``pred`` of the
+    objective, that sum divided by the number of windows. The gradient is
+    built in place on the residual, a new array."""
     if pred.shape != target.shape:
         raise InternalError(f"loss shape mismatch: {pred.shape} vs {target.shape}")
     if pred.shape[0] == 0:
         raise InternalError("loss over an empty batch")
-    diff = pred - target
-    return float(np.sum(diff * diff) / pred.shape[0])
-
-
-def mse_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    if pred.shape != target.shape:
-        raise InternalError(f"loss shape mismatch: {pred.shape} vs {target.shape}")
-    if pred.shape[0] == 0:
-        raise InternalError("loss over an empty batch")
-    return 2.0 * (pred - target) / pred.shape[0]
+    resid = pred - target
+    total = float(np.sum(resid * resid))
+    resid *= 2.0
+    resid /= pred.shape[0]
+    return total, resid

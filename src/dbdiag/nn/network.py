@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InternalError
-from .layers import BatchNorm, Layer, TemporalNorm, TemporalNormReverse
+from .layers import Layer, TemporalNorm, TemporalNormReverse
 
 
 class Network:
@@ -13,8 +13,8 @@ class Network:
 
     Parameters are addressed as ``"<index>:<label>.<name>"`` so optimizers
     and serializers can treat the whole network as a flat dict. Snapshots
-    also carry the non-trainable state (batch-norm running stats) so a
-    restored network scores identically.
+    hold each layer's ``state()``, which adds the non-trainable batch-norm
+    running stats, so a restored network scores identically.
     """
 
     def __init__(self, layers: list[Layer], arch_text: str):
@@ -64,51 +64,37 @@ class Network:
                 handed.append(pair)
         return out if input_grad else None
 
+    def _named(self, method: str) -> dict[str, np.ndarray]:
+        """Every layer's ``method()`` entries under ``"<index>:<label>.<name>"``."""
+        return {f"{i}:{layer.label}.{name}": value
+                for i, layer in enumerate(self.layers)
+                for name, value in getattr(layer, method)().items()}
+
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.params().items():
-                out[f"{i}:{layer.label}.{name}"] = p
-        return out
+        return self._named("params")
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, g in layer.grads().items():
-                if g is None:
-                    raise InternalError(
-                        f"gradient for {i}:{layer.label}.{name} not computed")
-                out[f"{i}:{layer.label}.{name}"] = g
-        return out
+        grads = self._named("grads")
+        for name, g in grads.items():
+            if g is None:
+                raise InternalError(f"gradient for {name} not computed")
+        return grads
 
     def get_state(self) -> dict[str, np.ndarray]:
         """Copies of all trainable parameters plus running statistics."""
-        state = {name: p.copy() for name, p in self.parameters().items()}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm):
-                state[f"{i}:{layer.label}.running_mean"] = layer.running_mean.copy()
-                state[f"{i}:{layer.label}.running_std"] = layer.running_std.copy()
-                state[f"{i}:{layer.label}.updates"] = np.array(layer.updates)
-        return state
+        return {name: value.copy() for name, value in self._named("state").items()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore a snapshot; it must hold exactly this network's entries."""
-        expected = self.get_state()
-        missing = [name for name in expected if name not in state]
-        unknown = [name for name in state if name not in expected]
+        live = self._named("state")
+        missing = [name for name in live if name not in state]
+        unknown = [name for name in state if name not in live]
         if missing or unknown:
             raise InternalError(
                 f"state does not match the network: missing "
                 f"[{', '.join(missing)}], unknown [{', '.join(unknown)}]")
-        params = self.parameters()
         for name, value in state.items():
-            if np.shape(value) != expected[name].shape:
+            if np.shape(value) != live[name].shape:
                 raise InternalError(f"state shape mismatch for {name}: "
-                                    f"{expected[name].shape} vs {np.shape(value)}")
-            if name in params:
-                params[name][...] = value
-            else:  # a batch-norm running statistic or update count
-                layer = self.layers[int(name.split(":", 1)[0])]
-                attr = name.rsplit(".", 1)[1]
-                setattr(layer, attr, int(value) if attr == "updates"
-                        else np.array(value, dtype=float))
+                                    f"{live[name].shape} vs {np.shape(value)}")
+            live[name][...] = value

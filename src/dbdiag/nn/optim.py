@@ -13,17 +13,15 @@ from ..errors import TrainingError
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float = 0.001):
         if learning_rate <= 0.0:
             raise TrainingError(f"learning rate must be positive, got {learning_rate}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise TrainingError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._m = {name: np.zeros_like(p) for name, p in params.items()}
         self._v = {name: np.zeros_like(p) for name, p in params.items()}
@@ -38,10 +36,10 @@ class Adam:
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            m_hat = m / (1.0 - self.BETA1 ** self.t)
+            v_hat = v / (1.0 - self.BETA2 ** self.t)
+            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPSILON)

@@ -245,16 +245,34 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,option,value,message", [
         ("train", "--split", "0.6,nan,0.2", "split needs three finite positive fractions"),
         ("ablate", "--learning-rate", "nan", "learning_rate must be finite"),
+        ("report", "--sigma", "nan", "sigma_k must be finite and positive, got nan"),
+        ("detect", "--sigma", "nan", "sigma_k must be finite and positive, got nan"),
+        ("detect", "--gap-tolerance", "-1", "gap_tolerance cannot be negative, got -1"),
+        ("match", "--margin", "-5", "margin cannot be negative, got -5"),
     ])
     def test_bad_training_option_is_refused_before_the_csv_is_read(
             self, tmp_path, capsys, command, option, value, message):
-        argv = [command, "--stats", str(tmp_path / "missing.csv"), option, value]
-        argv += (["--model", str(tmp_path / "m.json")] if command == "train"
-                 else ["--out", str(tmp_path / "ablate.json")])
+        """Every command checks its options before it opens an input file,
+        so a bad option exits 2 and never reports a missing file."""
+        inputs = {
+            "train": ["--stats", "missing.csv", "--model", "m.json"],
+            "ablate": ["--stats", "missing.csv", "--out", "ablate.json"],
+            "report": ["--model", "missing.json", "--stats", "missing.csv",
+                       "--out-dir", "out"],
+            "detect": ["--scores", "missing.json", "--out", "detections.json"],
+            "match": ["--stats", "missing.csv", "--events", "missing_events.csv",
+                      "--out", "matches.json"],
+        }[command]
+        argv = [command, *(str(tmp_path / a) if i % 2 else a
+                           for i, a in enumerate(inputs)), option, value]
+        if command == "match":
+            argv += ["--feature", "cpu_used", "--start", "2023-01-01T00:00:00Z",
+                     "--end", "2023-01-01T01:00:00Z"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err
-        assert "missing.csv" not in err
+        assert "missing" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys):
         stats = tmp_path / "stats.csv"

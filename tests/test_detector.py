@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +264,48 @@ class TestModelIO:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelIOError):
             load_model(str(tmp_path / "absent.json"))
+
+
+# A 2-epoch fit of BTN-(5)-BN-(3)-BN*-(5*)-BTN* on fixture_frame() with
+# TrainConfig(window_steps=4, batch_size=8, max_epochs=2, patience=2, seed=0),
+# written by save_model before each layer listed its own state. It pins the
+# model file format and the batch-norm running statistics it carries.
+FIXTURE_MODEL = Path(__file__).parent / "data" / "bn_btn_model.json"
+
+
+def fixture_frame() -> MetricFrame:
+    rng = np.random.default_rng(11)
+    t = np.arange(48)
+    values = np.column_stack([10.0 + np.sin(t / 3.0) + 0.1 * rng.normal(size=48),
+                              5.0 + 0.05 * t + 0.2 * rng.normal(size=48)])
+    return MetricFrame(("cpu", "io"), 27_000_000 + t, values)
+
+
+class TestFixtureModel:
+    def test_state_names(self):
+        state = load_model(str(FIXTURE_MODEL)).network.get_state()
+        assert sorted(state) == [
+            "0:btn.beta", "0:btn.gamma", "10:dense_out.bias", "10:dense_out.weights",
+            "12:btn_reverse.beta", "12:btn_reverse.gamma", "2:dense.bias",
+            "2:dense.weights", "4:bn.beta", "4:bn.gamma", "4:bn.running_mean",
+            "4:bn.running_std", "4:bn.updates", "5:dense.bias", "5:dense.weights",
+            "7:bn_reverse.beta", "7:bn_reverse.gamma", "7:bn_reverse.running_mean",
+            "7:bn_reverse.running_std", "7:bn_reverse.updates",
+            "8:dense_reverse.bias", "8:dense_reverse.weights"]
+        assert state["4:bn.updates"] == state["7:bn_reverse.updates"] == 4
+
+    def test_resave_gives_identical_bytes(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(load_model(str(FIXTURE_MODEL)), str(path))
+        assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
+
+    def test_scores_reproduce_the_recorded_test_mse(self):
+        """The last 9 of the 45 windows were the test split."""
+        detector = load_model(str(FIXTURE_MODEL))
+        scores = detector.score_frame(fixture_frame()).scores
+        assert scores.shape == (45, 2)
+        np.testing.assert_allclose(scores[-9:].mean(),
+                                   detector.training_meta["test_mse"], rtol=1e-12)
 
 
 class TestAblation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbdiag.errors import InternalError, TrainingError
-from dbdiag.nn import Adam, mse_loss, mse_loss_grad
+from dbdiag.nn import Adam, squared_error
 
 
 def reference_adam(grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8, start=0.0):
@@ -66,38 +66,54 @@ class TestAdam:
             opt.step({"w": np.array([1.0, np.nan])})
 
 
+def objective(pred, target):
+    """The training objective: the summed squared error per window."""
+    return squared_error(pred, target)[0] / pred.shape[0]
+
+
 class TestLoss:
     def test_sums_within_sample_means_over_batch(self):
         pred = np.array([[1.0, 2.0], [3.0, 4.0]])
         target = np.array([[0.0, 0.0], [0.0, 0.0]])
+        assert squared_error(pred, target)[0] == 30.0
         # (1+4+9+16)/2 samples
-        assert mse_loss(pred, target) == pytest.approx(15.0)
+        assert objective(pred, target) == pytest.approx(15.0)
 
     def test_grad_matches_finite_differences(self, rng):
         pred = rng.normal(size=(3, 4, 2))
         target = rng.normal(size=(3, 4, 2))
-        g = mse_loss_grad(pred, target)
+        _, g = squared_error(pred, target)
         h = 1e-6
         flat = pred.reshape(-1)
         gflat = g.reshape(-1)
         for i in (0, 7, 23):
             orig = flat[i]
             flat[i] = orig + h
-            hi = mse_loss(pred, target)
+            hi = objective(pred, target)
             flat[i] = orig - h
-            lo = mse_loss(pred, target)
+            lo = objective(pred, target)
             flat[i] = orig
             np.testing.assert_allclose(gflat[i], (hi - lo) / (2 * h), atol=1e-6)
 
+    def test_grad_is_a_new_array(self, rng):
+        pred = rng.normal(size=(3, 4, 2))
+        target = rng.normal(size=(3, 4, 2))
+        pred.flags.writeable = False
+        target.flags.writeable = False
+        total, g = squared_error(pred, target)
+        assert total == float(np.sum((pred - target) ** 2))
+        assert np.array_equal(g, 2.0 * (pred - target) / 3)
+
     def test_zero_at_perfect_reconstruction(self, rng):
         x = rng.normal(size=(2, 5, 3))
-        assert mse_loss(x, x) == 0.0
-        np.testing.assert_array_equal(mse_loss_grad(x, x), 0.0)
+        total, g = squared_error(x, x)
+        assert total == 0.0
+        np.testing.assert_array_equal(g, 0.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InternalError):
-            mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+            squared_error(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InternalError):
-            mse_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+            squared_error(np.zeros((0, 3)), np.zeros((0, 3)))
