@@ -355,8 +355,7 @@ def load_model(path: str) -> Detector:
         _check_normalization(path, norm)
         network = build_network(spec, window_steps, len(names),
                                 np.random.default_rng(0))
-        state = {name: np.asarray(value, dtype=np.float64)
-                 for name, value in payload["state"].items()}
+        state = {name: np.asarray(value) for name, value in payload["state"].items()}
         try:
             network.set_state(state)
         except InternalError as exc:

@@ -12,7 +12,7 @@ exception is the running statistics: a training forward pass of
 ``BatchNorm`` updates ``running_mean``, ``running_std`` and ``updates`` in
 place. Those arrays and the parameters are what ``state()`` returns, and the
 optimizer and ``Network.set_state`` write them in place too, so a snapshot
-of them must be a copy, as ``Network.get_state`` takes.
+must copy them, as ``Network.get_state`` does.
 """
 
 from __future__ import annotations

@@ -85,7 +85,8 @@ class Network:
         return {name: value.copy() for name, value in self._named("state").items()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore a snapshot; it must hold exactly this network's entries."""
+        """Restore a snapshot; it must hold exactly this network's entries.
+        A float cannot restore an integer entry such as an update count."""
         live = self._named("state")
         missing = [name for name in live if name not in state]
         unknown = [name for name in state if name not in live]
@@ -97,4 +98,4 @@ class Network:
             if np.shape(value) != live[name].shape:
                 raise InternalError(f"state shape mismatch for {name}: "
                                     f"{live[name].shape} vs {np.shape(value)}")
-            live[name][...] = value
+            np.copyto(live[name], value, casting="same_kind")

@@ -200,10 +200,10 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match="integrity"):
             load_model(str(path))
 
-    def edited_model(self, tiny_run, tmp_path, edit, part="state"):
+    def edited_model(self, detector, tmp_path, edit, part="state"):
         """A saved model with one part edited and its checksum recomputed."""
         path = tmp_path / "model.json"
-        save_model(tiny_run.result.detector, str(path))
+        save_model(detector, str(path))
         doc = json.loads(path.read_text())
         edit(doc[part])
         del doc["checksum"]
@@ -213,7 +213,7 @@ class TestModelIO:
         return str(path)
 
     def test_missing_state_entry_rejected(self, tiny_run, tmp_path):
-        path = self.edited_model(tiny_run, tmp_path,
+        path = self.edited_model(tiny_run.result.detector, tmp_path,
                                  lambda state: state.pop("2:dense.weights"))
         with pytest.raises(ModelIOError,
                            match=r"missing \[2:dense.weights\], unknown \[\]"):
@@ -222,7 +222,7 @@ class TestModelIO:
     def test_unknown_state_entry_rejected(self, tiny_run, tmp_path):
         def add(state):
             state["99:dense.weights"] = state["2:dense.weights"]
-        path = self.edited_model(tiny_run, tmp_path, add)
+        path = self.edited_model(tiny_run.result.detector, tmp_path, add)
         with pytest.raises(ModelIOError,
                            match=r"missing \[\], unknown \[99:dense.weights\]"):
             load_model(path)
@@ -230,12 +230,19 @@ class TestModelIO:
     def test_misshapen_state_entry_rejected(self, tiny_run, tmp_path):
         def cut(state):
             state["2:dense.bias"] = state["2:dense.bias"][:-1]
-        path = self.edited_model(tiny_run, tmp_path, cut)
+        path = self.edited_model(tiny_run.result.detector, tmp_path, cut)
         with pytest.raises(ModelIOError, match="shape mismatch for 2:dense.bias"):
             load_model(path)
 
+    @pytest.mark.parametrize("count", [float("nan"), 2.5])
+    def test_fractional_update_count_rejected(self, tmp_path, count):
+        path = self.edited_model(load_model(str(FIXTURE_MODEL)), tmp_path,
+                                 lambda state: state.update({"4:bn.updates": count}))
+        with pytest.raises(ModelIOError, match="malformed model file"):
+            load_model(path)
+
     def test_short_normalization_mean_rejected(self, tiny_run, tmp_path):
-        path = self.edited_model(tiny_run, tmp_path,
+        path = self.edited_model(tiny_run.result.detector, tmp_path,
                                  lambda norm: norm["mean"].pop(), "normalization")
         with pytest.raises(ModelIOError, match=r"normalization.mean has shape \(5,\) "
                                                r"for 6 features"):
@@ -244,7 +251,7 @@ class TestModelIO:
     def test_zero_normalization_std_rejected(self, tiny_run, tmp_path):
         def zero(norm):
             norm["std"][2] = 0.0
-        path = self.edited_model(tiny_run, tmp_path, zero, "normalization")
+        path = self.edited_model(tiny_run.result.detector, tmp_path, zero, "normalization")
         with pytest.raises(ModelIOError, match=r"normalization.std\[2\] "
                                                r"\('session_logical_reads'\) is 0.0"):
             load_model(path)
