@@ -86,7 +86,8 @@ class Network:
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore a snapshot; it must hold exactly this network's entries.
-        A float cannot restore an integer entry such as an update count."""
+        ``copyto`` casts only within a kind, so a float cannot restore an
+        integer entry such as an update count."""
         live = self._named("state")
         missing = [name for name in live if name not in state]
         unknown = [name for name in state if name not in live]
@@ -98,4 +99,4 @@ class Network:
             if np.shape(value) != live[name].shape:
                 raise InternalError(f"state shape mismatch for {name}: "
                                     f"{live[name].shape} vs {np.shape(value)}")
-            np.copyto(live[name], value, casting="same_kind")
+            np.copyto(live[name], value)
