@@ -9,9 +9,11 @@ views of the frame's values; a frame with gaps makes one gathered copy.
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -25,6 +27,8 @@ DEFAULT_WINDOW_STEPS = 30
 # the epoch minutes minute_to_iso can write: years 1 to 9999, UTC
 _FIRST_MINUTE = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp() // 60
 _LAST_MINUTE = datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc).timestamp() // 60
+_TIMEZONE_WARNING = "no explicit representation of timezones"
+_NO_DATA_WARNING = "loadtxt: input contained no data"
 
 
 @dataclass
@@ -72,38 +76,95 @@ class MetricFrame:
                            self.values[mask], self.kind)
 
 
-def _parse_timestamp(text: str, row: int | None = None) -> int:
-    """Epoch minutes of an ISO-8601 instant or epoch seconds; errors name
-    ``row`` when the text comes from a CSV row."""
-    text = text.strip()
+def stamps_to_minutes(texts, rows=None) -> np.ndarray:
+    """Epoch minutes (int64) of a sequence of timestamp strings.
+
+    A stamp that starts with a four-digit year and ``-`` is an ISO-8601
+    instant, read by ``_iso_micros``. Any other stamp is epoch seconds.
+    Every stamp must land on a minute in the years 1 to 9999. An error names
+    the first bad stamp in array order and, given ``rows`` (one number per
+    stamp), its row.
+    """
+    texts = np.char.strip(np.asarray(texts, dtype=str))
+    texts = texts.astype(np.promote_types(texts.dtype, "U5"))  # room for "YYYY-"
+    codes = texts.view(np.uint32).reshape(len(texts), texts.dtype.itemsize // 4)
+    dated = ((codes[:, :4] >= ord("0")) & (codes[:, :4] <= ord("9"))).all(axis=1)
+    dated &= codes[:, 4] == ord("-")
+    minutes, rem = np.empty(len(texts)), np.empty(len(texts))
     try:
-        seconds = float(text)
+        with np.errstate(invalid="ignore"):  # inf and nan give a nan remainder
+            minutes[~dated], rem[~dated] = np.divmod(texts[~dated].astype(np.float64), 60.0)
+        minutes[dated], rem[dated] = np.divmod(_iso_micros(texts[dated]), 60_000_000)
     except ValueError:
-        iso = text[:-1] + "+00:00" if text.endswith("Z") else text
-        try:
-            dt = datetime.fromisoformat(iso)
-        except ValueError:
-            raise _timestamp_error("unparseable timestamp {}", text, row) from None
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        seconds = dt.timestamp()
-    minutes, rem = divmod(seconds, 60.0)
-    if rem != 0.0:
-        raise _timestamp_error("timestamp {} is not minute-aligned", text, row)
-    if not _FIRST_MINUTE <= minutes <= _LAST_MINUTE:
-        raise _timestamp_error("timestamp {} is outside the years 1 to 9999", text, row)
-    return int(minutes)
+        # bisect for the first stamp that does not read: the stamps before
+        # index ``good`` read, those before ``fails`` do not
+        good, fails = 0, len(texts)
+        while fails - good > 1:
+            mid = (good + fails) // 2
+            good, fails = (mid, fails) if _reads(texts[:mid], dated[:mid]) else (good, mid)
+        first = good
+        stamps_to_minutes(texts[:first], rows)  # an earlier stamp may be bad in another way
+        raise _timestamp_error("unparseable timestamp {}", texts[first],
+                               None if rows is None else rows[first]) from None
+    misaligned = rem != 0.0
+    inside = (minutes >= _FIRST_MINUTE) & (minutes <= _LAST_MINUTE)
+    bad = np.flatnonzero(misaligned | ~inside)
+    if bad.size:
+        i = bad[0]
+        raise _timestamp_error("timestamp {} is not minute-aligned" if misaligned[i] else
+                               "timestamp {} is outside the years 1 to 9999", texts[i],
+                               None if rows is None else rows[i])
+    return minutes.astype(np.int64)
+
+
+def _iso_micros(stamps: np.ndarray) -> np.ndarray:
+    """Epoch microseconds of ISO-8601 stamps that start ``YYYY-``, by one
+    ``datetime64[us]`` conversion: ``Z``, ``+HH:MM`` and naive (UTC) stamps.
+
+    The fixed year width keeps NumPy from wrapping a huge year round into
+    range. NumPy warns once per stamp that carries a zone, which costs more
+    than the parse; so a final Z after a digit, in a stamp with no other
+    offset (a ``+``, or a ``-`` past the date), is dropped from a copy,
+    leaving the naive stamp of the same instant.
+    """
+    stamps = stamps.copy()
+    codes = stamps.view(np.uint32).reshape(len(stamps), stamps.dtype.itemsize // 4)
+    each, last = np.arange(len(stamps)), np.char.str_len(stamps) - 1
+    before = codes[each, last - 1]
+    offset = (codes == ord("+")).any(axis=1) | (codes[:, 10:] == ord("-")).any(axis=1)
+    zulu = ((codes[each, last] == ord("Z")) & (before >= ord("0")) & (before <= ord("9"))
+            & ~offset)
+    codes[each[zulu], last[zulu]] = 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _TIMEZONE_WARNING, UserWarning)
+        return stamps.astype("datetime64[us]").astype(np.int64)
+
+
+def _reads(texts: np.ndarray, dated: np.ndarray) -> bool:
+    """Whether every stamp gets through the conversion its form selects."""
+    try:
+        texts[~dated].astype(np.float64)
+        _iso_micros(texts[dated])
+        return True
+    except ValueError:
+        return False
 
 
 def _timestamp_error(message: str, text: str, row: int | None) -> DataError:
     # built only on failure, so a CSV row does not pay for its error text
     where = "" if row is None else f" in row {row}"
-    return DataError(message.format(f"{text!r}{where}"))
+    return DataError(message.format(f"{str(text)!r}{where}"))
 
 
 def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     """Read a metric CSV. Header: ``timestamp,<name>,...``; body rows carry
-    an ISO-8601 instant or epoch seconds plus one numeric value per metric.
+    a timestamp (see ``stamps_to_minutes``) plus one numeric value per metric.
+
+    The header goes through ``csv.reader`` and the body through one
+    ``np.loadtxt`` call. Only a bad file is read again, to name the row of
+    the first problem found, in this order: a row with the wrong number of
+    fields or a cell that is not a number, then a bad timestamp, then a
+    value that is not finite.
     """
     if kind not in ("stat", "event"):
         raise ConfigError(f"kind must be 'stat' or 'event', got {kind!r}")
@@ -112,9 +173,8 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         if not header:
@@ -126,33 +186,31 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
             raise DataError(f"{path}: no metric columns")
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate metric names in header")
-
-        stamps, rows, row_nos = [], [], []
-        # row numbers are file line numbers (header is line 1)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names) + 1:
-                raise DataError(f"{path}: row {row_no} has {len(row)} fields, "
-                                f"expected {len(names) + 1}")
-            stamps.append(_parse_timestamp(row[0], row_no))
-            row_nos.append(row_no)
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                bad = next(v for v in row[1:] if not _is_float(v))
-                raise DataError(f"{path}: non-numeric value {bad!r} in row {row_no}"
-                                ) from None
-    if not rows:
+        body = np.dtype([("stamp", object), ("values", np.float64, (len(names),))])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _NO_DATA_WARNING, UserWarning)
+                rows = np.loadtxt(fh, dtype=body, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise _cell_error(path, names, exc) from None
+    if not rows.size:
         raise DataError(f"{path}: no data rows")
-    vals = np.asarray(rows, dtype=np.float64)
+    try:
+        stamps = stamps_to_minutes(rows["stamp"])
+    except DataError:
+        # the same error again, worded with its row
+        stamps_to_minutes(rows["stamp"], [row_no for row_no, _ in _data_rows(path)])
+        raise
+    vals = rows["values"]
     bad = np.argwhere(~np.isfinite(vals))
     if bad.size:
         i, j = bad[0]
-        raise DataError(f"{path}: non-finite value {float(vals[i, j])} in row "
-                        f"{row_nos[i]}, column {names[j]!r}")
-    order = np.argsort(np.asarray(stamps, dtype=np.int64), kind="stable")
-    ts = np.asarray(stamps, dtype=np.int64)[order]
+        row_no = [row_no for row_no, _ in _data_rows(path)][i]
+        raise DataError(f"{path}: non-finite value {float(vals[i, j])} in row {row_no}, "
+                        f"column {names[j]!r}")
+    order = np.argsort(stamps, kind="stable")
+    ts = stamps[order]
     vals = vals[order]
     dup = np.nonzero(np.diff(ts) == 0)[0]
     if dup.size:
@@ -160,23 +218,61 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     return MetricFrame(names, ts, vals, kind)
 
 
-def _is_float(text: str) -> bool:
+def _data_rows(path: str):
+    """(row number, fields) of each non-blank body row of a CSV; a row's
+    number is its line in the file, the header being line 1."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        yield from ((row_no, row) for row_no, row in enumerate(reader, start=2) if row)
+
+
+def _cell_error(path: str, names: tuple[str, ...], cause: ValueError) -> DataError:
+    """The first row with the wrong number of fields or a cell that is not a
+    number, for a CSV whose bulk parse failed with ``cause``.
+
+    Each row's cells go through the bulk parse's own number reader, so this
+    finds where the failure is; it returns no data. If no row is bad on its
+    own, the bulk parse's message stands.
+    """
+    for row_no, row in _data_rows(path):
+        if len(row) != len(names) + 1:
+            return DataError(f"{path}: row {row_no} has {len(row)} fields, "
+                             f"expected {len(names) + 1}")
+        if not _reads_numbers(row[1:]):
+            bad = next(v for v in row[1:] if not _reads_numbers([v]))
+            return DataError(f"{path}: non-numeric value {bad!r} in row {row_no}")
+    return DataError(f"{path}: {cause}")
+
+
+def _reads_numbers(cells: list[str]) -> bool:
+    """Whether the bulk parse's number reader, ``np.loadtxt``'s, reads every cell."""
     try:
-        float(text)
-        return True
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _NO_DATA_WARNING, UserWarning)
+            values = np.loadtxt([",".join(cells)], delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return False
+    return values.shape == (len(cells),)
 
 
 def minute_to_iso(minute: int) -> str:
     """Epoch minute -> UTC ISO-8601 instant ('2023-01-01T00:05:00Z')."""
-    instant = datetime.fromtimestamp(int(minute) * 60, tz=timezone.utc)
-    return instant.isoformat().replace("+00:00", "Z")
+    return minutes_to_iso([minute])[0]
+
+
+def minutes_to_iso(minutes: np.ndarray) -> list[str]:
+    """``minute_to_iso`` of every entry, by one NumPy conversion."""
+    minutes = np.asarray(minutes, dtype=np.int64)
+    if minutes.size and not _FIRST_MINUTE <= minutes.min() <= minutes.max() <= _LAST_MINUTE:
+        raise DataError("epoch minutes outside the years 1 to 9999 cannot be written")
+    stamps = np.datetime_as_string(minutes.astype("datetime64[m]"), unit="s")
+    return [f"{stamp}Z" for stamp in stamps.tolist()]
 
 
 def iso_to_minute(text: str) -> int:
     """Inverse of minute_to_iso; also accepts epoch seconds."""
-    return _parse_timestamp(text)
+    return int(stamps_to_minutes([text])[0])
 
 
 def write_metrics(path: str, frame: MetricFrame) -> None:
@@ -195,18 +291,25 @@ def write_csv_rows(path: str, header: list[str], rows) -> None:
 
 def write_minute_csv(path: str, key: str, minutes: np.ndarray,
                      names: tuple[str, ...], values: np.ndarray) -> None:
-    """One ISO-8601 column named ``key``, then one ``repr`` float per name."""
-    rows = zip(np.asarray(minutes).tolist(), np.asarray(values, dtype=np.float64))
-    write_csv_rows(path, [key, *names],
-                   ([minute_to_iso(m), *map(repr, row.tolist())] for m, row in rows))
+    """One ISO-8601 column named ``key``, then one ``repr`` float per name.
+
+    The header goes through ``csv.writer``. No stamp or float ``repr``
+    needs quoting, so the body rows are joined directly with the writer's
+    CRLF line ends: the bytes are those ``csv.writer`` would write.
+    """
+    rows = np.asarray(values, dtype=np.float64).tolist()
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow([key, *names])
+        fh.write("".join(",".join((stamp, *map(repr, row))) + "\r\n"
+                         for stamp, row in zip(minutes_to_iso(minutes), rows)))
 
 
 # the types json.dumps spells as one token with no "[", "]" or ","
 _SCALAR_TYPES = frozenset((float, int, bool, type(None)))
 
 
-def _encode(obj, indent: str) -> tuple[str, str]:
-    """``obj`` as (two-space-indented text, compact text), keys sorted in both.
+def _encode(obj, indent: str) -> str:
+    """``obj`` as two-space-indented JSON text with sorted keys.
 
     ``indent`` is the indentation of the line the text starts on. An ndarray
     is encoded as its ``tolist()``. A list of scalars, such as each row of a
@@ -217,55 +320,36 @@ def _encode(obj, indent: str) -> tuple[str, str]:
     ``NaN`` are json's.
     """
     if isinstance(obj, str):
-        text = encode_basestring_ascii(obj)
-        return text, text
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     inner = indent + "  "
     if isinstance(obj, dict):
-        return _join_members({key: _encode(value, inner) for key, value in obj.items()},
-                             indent)
+        if not obj:
+            return "{}"
+        # pieces joined once, so no member's text is copied twice
+        pieces = ["{\n"]
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            pieces += (inner, encode_basestring_ascii(key), ": ", _encode(obj[key], inner),
+                       ",\n")
+        pieces[-1] = f"\n{indent}}}"
+        return "".join(pieces)
     if not isinstance(obj, (list, tuple)):
-        text = json.dumps(obj)
-        return text, text
+        return json.dumps(obj)
     if not obj:
-        return "[]", "[]"
+        return "[]"
     if set(map(type, obj)) <= _SCALAR_TYPES:
-        compact = json.dumps(obj, separators=(",", ":"))
-        body = compact[1:-1].replace(",", ",\n" + inner)
-        return f"[\n{inner}{body}\n{indent}]", compact
-    parts = [_encode(item, inner) for item in obj]
-    pretty = ",\n".join(inner + text for text, _ in parts)
-    return (f"[\n{pretty}\n{indent}]",
-            "[" + ",".join(compact for _, compact in parts) + "]")
-
-
-def _join_members(members: dict, indent: str) -> tuple[str, str]:
-    """The object whose members ``_encode`` gave as ``members``, in both layouts."""
-    if not members:
-        return "{}", "{}"
-    # pieces joined once, so no member's text is copied twice
-    pretty, compact = ["{\n"], ["{"]
-    for key in sorted(members):
-        if not isinstance(key, str):
-            raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        name = encode_basestring_ascii(key)
-        text, short = members[key]
-        pretty += (indent, "  ", name, ": ", text, ",\n")
-        compact += (name, ":", short, ",")
-    pretty[-1] = f"\n{indent}}}"
-    compact[-1] = "}"
-    return "".join(pretty), "".join(compact)
+        body = json.dumps(obj, separators=(",", ":"))[1:-1].replace(",", ",\n" + inner)
+        return f"[\n{inner}{body}\n{indent}]"
+    return "[\n" + ",\n".join(inner + _encode(item, inner) for item in obj) + f"\n{indent}]"
 
 
 def _as_list(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def json_text(payload) -> str:
@@ -275,32 +359,41 @@ def json_text(payload) -> str:
     equals ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` with
     every array replaced by its ``tolist()``.
     """
-    return _encode(payload, "")[0] + "\n"
+    return _encode(payload, "") + "\n"
 
 
 def json_checksum(payload) -> str:
     """sha256 of the compact, sorted-key JSON text of ``payload``."""
-    return _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                              default=_as_list))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_as_list)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def write_json(path: str, payload, checksum_key: str | None = None) -> None:
-    """Write ``payload`` as ``json_text`` would.
-
-    With ``checksum_key``, the written object also holds that member: the
-    ``json_checksum`` of ``payload``, taken from the compact text of the
-    same encoding as the file text, so each value is formatted once.
-    """
-    if checksum_key is None:
-        text = _encode(payload, "")[0]
-    else:
-        members = {key: _encode(value, "  ") for key, value in payload.items()}
-        digest = encode_basestring_ascii(_sha256(_join_members(members, "")[1]))
-        members[checksum_key] = (digest, digest)
-        text = _join_members(members, "")[0]
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` as ``json_text`` would."""
     with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(json_text(payload))
+
+
+def encode_array(value: np.ndarray) -> dict:
+    """An array as ``{data, dtype, shape}``, ``data`` being the base64 of its
+    little-endian bytes in C order, so every value round-trips exactly."""
+    value = np.asarray(value)
+    little = value.astype(value.dtype.newbyteorder("<"), copy=False)
+    return {"data": base64.b64encode(little.tobytes()).decode("ascii"),
+            "dtype": little.dtype.str, "shape": list(value.shape)}
+
+
+def decode_array(entry: dict) -> np.ndarray:
+    """Inverse of ``encode_array``: a read-only view of the decoded bytes.
+
+    A malformed entry raises ``KeyError``, ``TypeError`` or ``ValueError``;
+    only boolean and numeric dtypes are read.
+    """
+    dtype = np.dtype(entry["dtype"])
+    if dtype.kind not in "biuf":
+        raise ValueError(f"unsupported array dtype {entry['dtype']!r}")
+    raw = base64.b64decode(entry["data"], validate=True)
+    return np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
 
 
 def read_json(path: str, error: type[DiagError]):

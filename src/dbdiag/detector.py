@@ -23,12 +23,14 @@ from .data import (
     MetricFrame,
     WindowSet,
     check_split,
-    iso_to_minute,
+    decode_array,
+    encode_array,
     json_checksum,
     make_windows,
-    minute_to_iso,
+    minutes_to_iso,
     read_json,
     split_windows,
+    stamps_to_minutes,
     write_json,
     write_minute_csv,
 )
@@ -36,8 +38,9 @@ from .errors import ConfigError, DataError, InternalError, ModelIOError, Trainin
 from .nn import Adam, Network, squared_error
 
 MODEL_FORMAT = "dbdiag-model"
+MODEL_FORMAT_VERSION = 2
 SCORES_FORMAT = "dbdiag-scores"
-FORMAT_VERSION = 1
+SCORES_FORMAT_VERSION = 1
 SELECTED_ARCHITECTURE = "BTN-(150)-(50)-(150*)-BTN*"
 
 # The architecture families compared by run_ablation: PCA baselines, the
@@ -118,10 +121,10 @@ class ScoreSeries:
     def to_dict(self) -> dict:
         return {
             "format": SCORES_FORMAT,
-            "format_version": FORMAT_VERSION,
+            "format_version": SCORES_FORMAT_VERSION,
             "window_steps": self.window_steps,
             "feature_names": list(self.feature_names),
-            "window_starts": [minute_to_iso(int(m)) for m in self.window_starts],
+            "window_starts": minutes_to_iso(self.window_starts),
             "scores": self.scores.tolist(),
         }
 
@@ -130,12 +133,11 @@ class ScoreSeries:
         try:
             if payload["format"] != SCORES_FORMAT:
                 raise ModelIOError(f"not a score file (format {payload['format']!r})")
-            if payload["format_version"] != FORMAT_VERSION:
+            if payload["format_version"] != SCORES_FORMAT_VERSION:
                 raise ModelIOError(
                     f"unsupported score format version {payload['format_version']!r}")
             names = tuple(payload["feature_names"])
-            starts = np.asarray([iso_to_minute(t) for t in payload["window_starts"]],
-                                dtype=np.int64)
+            starts = stamps_to_minutes(payload["window_starts"])
             scores = np.asarray(payload["scores"], dtype=np.float64)
             steps = int(payload["window_steps"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -318,30 +320,41 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
 
 
 def save_model(detector: Detector, path: str) -> None:
-    """Write a detector as versioned JSON with an integrity checksum."""
+    """Write a detector as versioned JSON with an integrity checksum.
+
+    Every state array and normalization vector is stored by
+    ``encode_array`` as the base64 of its bytes, so it loads bit for bit,
+    and the checksum is taken over those strings.
+    """
     payload = {
         "format": MODEL_FORMAT,
-        "format_version": FORMAT_VERSION,
+        "format_version": MODEL_FORMAT_VERSION,
         "architecture": detector.architecture,
         "window_steps": detector.window_steps,
         "feature_names": list(detector.feature_names),
-        "normalization": {"mean": detector.norm.mean, "std": detector.norm.std},
-        "state": detector.network.get_state(),
+        "normalization": {"mean": encode_array(detector.norm.mean),
+                          "std": encode_array(detector.norm.std)},
+        "state": {name: encode_array(value)
+                  for name, value in detector.network.get_state().items()},
         "training": detector.training_meta,
     }
-    write_json(path, payload, checksum_key="checksum")
+    write_json(path, {**payload, "checksum": json_checksum(payload)})
 
 
 def load_model(path: str) -> Detector:
+    """Read a ``save_model`` file. Other format versions, a failed checksum,
+    a state that does not fit the architecture and a non-finite state entry
+    or normalization value are refused with ``ModelIOError``."""
     payload = read_json(path, ModelIOError)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelIOError(f"{path} is not a model file")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ModelIOError(
-            f"unsupported model format version {payload.get('format_version')!r}")
-    stored = payload.get("checksum")
-    stripped = {k: v for k, v in payload.items() if k != "checksum"}
-    if stored != json_checksum(stripped):
+    version = payload.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelIOError(f"{path}: model format version {version!r} cannot be read "
+                           f"(dbdiag reads version {MODEL_FORMAT_VERSION}); re-train "
+                           f"the model")
+    stored = payload.pop("checksum", None)
+    if stored != json_checksum(payload):
         raise ModelIOError(f"{path} failed its integrity check; the file is corrupt")
     try:
         spec = parse_architecture(payload["architecture"])
@@ -349,19 +362,23 @@ def load_model(path: str) -> Detector:
         names = tuple(payload["feature_names"])
         norm = GlobalNorm(
             names,
-            np.asarray(payload["normalization"]["mean"], dtype=np.float64),
-            np.asarray(payload["normalization"]["std"], dtype=np.float64),
+            np.array(decode_array(payload["normalization"]["mean"]), dtype=np.float64),
+            np.array(decode_array(payload["normalization"]["std"]), dtype=np.float64),
         )
         _check_normalization(path, norm)
         network = build_network(spec, window_steps, len(names),
                                 np.random.default_rng(0))
-        state = {name: np.asarray(value) for name, value in payload["state"].items()}
+        state = {name: decode_array(entry) for name, entry in payload["state"].items()}
         try:
             network.set_state(state)
         except InternalError as exc:
             raise ModelIOError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"malformed model file: {exc}") from None
+    for name, value in state.items():
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ModelIOError(f"{path}: state entry {name} holds {float(bad[0])}")
     return Detector(network, norm, window_steps, names,
                     payload.get("training", {}))
 

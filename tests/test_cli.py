@@ -13,7 +13,7 @@ import pytest
 import dbdiag
 from dbdiag import ReportConfig, TrainConfig, minute_to_iso
 from dbdiag.cli import _build_parser, _config_from, _merge_config, main
-from dbdiag.data import json_text
+from dbdiag.data import decode_array, encode_array, json_checksum, json_text
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,22 @@ class TestExitCodes:
         assert rc == 3
         assert (f"non-finite score nan for feature {doc['feature_names'][1]!r} "
                 f"in window 5" in capsys.readouterr().err)
+
+    def test_non_finite_model_weight_is_model_error(self, pipeline, tmp_path, capsys):
+        doc = json.loads(open(pipeline["model"]).read())
+        weights = decode_array(doc["state"]["2:dense.weights"]).copy()
+        weights[1, 2] = np.inf
+        doc["state"]["2:dense.weights"] = encode_array(weights)
+        del doc["checksum"]
+        doc["checksum"] = json_checksum(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "scores.json"
+        rc = main(["score", "--model", str(model), "--stats", pipeline["stats"],
+                   "--out", str(out), "--csv", str(tmp_path / "scores.csv")])
+        assert rc == 4
+        assert "state entry 2:dense.weights holds inf" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["model.json"]
 
     @pytest.mark.parametrize("content", [None, "{not json"],
                              ids=["missing", "invalid"])

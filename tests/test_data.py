@@ -1,9 +1,12 @@
 """CSV ingestion, timestamps, normalization, windowing, and the JSON codec."""
 
 import ast
+import base64
+import csv
 import hashlib
 import json
 import re
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,16 @@ from dbdiag import (
     split_windows,
     write_metrics,
 )
-from dbdiag.data import json_checksum, json_text, write_json
+from dbdiag.data import (
+    decode_array,
+    encode_array,
+    json_checksum,
+    json_text,
+    minutes_to_iso,
+    write_csv_rows,
+    write_json,
+    write_minute_csv,
+)
 from dbdiag.errors import ConfigError, DataError
 
 
@@ -182,6 +194,262 @@ class TestLoadMetrics:
             frame.column("zz")
 
 
+def loop_parse_timestamp(text):
+    """The original per-stamp parser: float() first, then fromisoformat."""
+    text = text.strip()
+    try:
+        seconds = float(text)
+    except ValueError:
+        iso = text[:-1] + "+00:00" if text.endswith("Z") else text
+        dt = datetime.fromisoformat(iso)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        seconds = dt.timestamp()
+    minutes, rem = divmod(seconds, 60.0)
+    assert rem == 0.0
+    return int(minutes)
+
+
+def loop_load_metrics(path):
+    """The original row loop of load_metrics (csv.reader and float() per
+    cell), kept as the oracle for the bulk parse of well-formed files."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = tuple(h.strip() for h in next(reader)[1:])
+        stamps, rows = [], []
+        for row in reader:
+            if row:
+                stamps.append(loop_parse_timestamp(row[0]))
+                rows.append([float(v) for v in row[1:]])
+    order = np.argsort(np.asarray(stamps, dtype=np.int64), kind="stable")
+    return (names, np.asarray(stamps, dtype=np.int64)[order],
+            np.asarray(rows, dtype=np.float64)[order])
+
+
+def loop_write_minute_csv(path, key, minutes, names, values):
+    """The original row writer of write_minute_csv, kept as its oracle."""
+    rows = zip(np.asarray(minutes).tolist(), np.asarray(values, dtype=np.float64))
+    write_csv_rows(path, [key, *names],
+                   ([datetime.fromtimestamp(m * 60, tz=timezone.utc).isoformat()
+                     .replace("+00:00", "Z"), *map(repr, row.tolist())] for m, row in rows))
+
+
+# finite floats whose text is hard to read back: subnormals, the extremes,
+# signed zeros and values one ulp from round decimals
+AWKWARD = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                    1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0, 0.1,
+                    0.30000000000000004, 1e-7, 1e16, 123456789012345680.0,
+                    9007199254740993.0])
+
+
+def random_csv(path, seed, stamp_forms=("iso",)):
+    """A shuffled, gapped CSV of awkward and random values; returns the text.
+
+    ``stamp_forms`` cycles over the rows: "iso" (Z), "epoch", "offset"
+    (+HH:MM or -HH:MM, the same instant), "naive" and "space".
+    """
+    rng = np.random.default_rng(seed)
+    n, k = 300, 4
+    minutes = 27_875_520 + np.cumsum(rng.integers(1, 4, size=n))
+    values = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
+    values.flat[rng.choice(n * k, size=len(AWKWARD), replace=False)] = AWKWARD
+    lines = []
+    for i in rng.permutation(n):
+        m = int(minutes[i])
+        form = stamp_forms[i % len(stamp_forms)]
+        iso = minute_to_iso(m)
+        if form == "epoch":
+            stamp = str(m * 60)
+        elif form == "offset":
+            shift = int(rng.integers(-14 * 60, 14 * 60 + 1))
+            local = (datetime.fromtimestamp(m * 60, tz=timezone.utc)
+                     + timedelta(minutes=shift))
+            sign, mag = "+-"[shift < 0], abs(shift)
+            stamp = f"{local:%Y-%m-%dT%H:%M:%S}{sign}{mag // 60:02d}:{mag % 60:02d}"
+        elif form == "naive":
+            stamp = iso[:-1]
+        elif form == "space":
+            stamp = iso[:-1].replace("T", " ")
+        else:
+            stamp = iso
+        lines.append(",".join([stamp, *map(repr, values[i].tolist())]))
+    text = "timestamp,a,b,c,d\n" + "\n".join(lines) + "\n"
+    path.write_text(text)
+    return text
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("forms", [("iso",), ("epoch",), ("offset",),
+                                       ("iso", "epoch", "offset", "naive", "space")])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_the_row_loop(self, tmp_path, seed, forms):
+        path = tmp_path / "m.csv"
+        random_csv(path, seed, forms)
+        names, ts, vals = loop_load_metrics(str(path))
+        frame = load_metrics(str(path))
+        assert frame.metric_names == names
+        assert frame.timestamps.dtype == np.int64
+        assert np.array_equal(frame.timestamps, ts)
+        assert frame.values.dtype == np.float64 and frame.values.flags.c_contiguous
+        assert np.array_equal(frame.values.view(np.uint64), vals.view(np.uint64))
+
+    def test_crlf_blank_lines_and_quoted_cells(self, tmp_path):
+        path = tmp_path / "m.csv"
+        text = random_csv(path, 5, ("iso", "epoch"))
+        lines = text.splitlines()
+        lines[3] = ",".join(f'"{cell}"' for cell in lines[3].split(","))
+        lines.insert(7, "")
+        lines.insert(9, "")
+        path.write_bytes(("\r\n".join(['"timestamp","a",b,c,d', *lines[1:]]) + "\r\n\r\n")
+                         .encode())
+        names, ts, vals = loop_load_metrics(str(path))
+        frame = load_metrics(str(path))
+        assert frame.metric_names == names == ("a", "b", "c", "d")
+        assert np.array_equal(frame.timestamps, ts)
+        assert np.array_equal(frame.values.view(np.uint64), vals.view(np.uint64))
+
+    def test_a_hash_line_is_an_error_not_a_comment(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("timestamp,a\n2023-01-01T00:00:00Z,1.0\n# a note\n")
+        with pytest.raises(DataError, match="row 3 has 1 fields, expected 2"):
+            load_metrics(str(path))
+        path.write_text("timestamp,a\n#2023-01-01T00:00:00Z,1.0\n")
+        with pytest.raises(DataError, match="unparseable timestamp "
+                                            "'#2023-01-01T00:00:00Z' in row 2"):
+            load_metrics(str(path))
+
+    @pytest.mark.parametrize("row", ["2023-01-01T00:01:00Z,1.0,2.0",
+                                     "2023-01-01T00:01:00Z", "   "])
+    def test_a_ragged_row_names_row_and_field_count(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"timestamp,a\n2023-01-01T00:00:00Z,1.0\n\n{row}\n")
+        fields = len(next(csv.reader([row])))
+        with pytest.raises(DataError,
+                           match=f"m.csv: row 4 has {fields} fields, expected 2"):
+            load_metrics(str(path))
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "", "0x10", "1.0.0"])
+    def test_what_float_reads_but_the_bulk_parse_does_not_is_refused(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"timestamp,a,b\n2023-01-01T00:00:00Z,1.0,2.0\n"
+                        f"2023-01-01T00:01:00Z,3.0,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=re.escape(f"non-numeric value {cell!r} in row 3")):
+            load_metrics(str(path))
+
+    @pytest.mark.parametrize("text", ["now", "today", "NaT", "nat", "20230101T000000",
+                                      "2023-13-01T00:00:00Z", "--5",
+                                      "2023-01-01T00:00:00ZZ",
+                                      "2023-01-01T00:00:00+00:00Z",
+                                      "-0001-01-01T00:00:00Z", "10000-01-01T00:00:00Z",
+                                      "18446744073709551616-01-01T00:00:00Z"])
+    def test_unparseable_stamps_name_text_and_row(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(f"timestamp,a\n2023-01-01T00:00:00Z,1.0\n{text},2.0\n")
+        with pytest.raises(DataError, match=re.escape(f"unparseable timestamp {text!r} "
+                                                      f"in row 3")):
+            load_metrics(str(path))
+
+    @pytest.mark.parametrize("text", ["2023-01-01T00:01:00.5Z",
+                                      "2023-01-01T00:01:00.000001",
+                                      "1672531260.5", "inf", "nan"])
+    def test_a_fraction_of_a_minute_is_not_minute_aligned(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(f"timestamp,a\n2023-01-01T00:00:00Z,1.0\n{text},2.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{text!r} in row 3 is not minute")):
+            load_metrics(str(path))
+
+    def test_problems_are_named_in_a_fixed_order(self, tmp_path):
+        # cells first, then timestamps, then non-finite values, whatever
+        # their rows
+        rows = ["2023-01-01T00:00:00Z,1.0", "", "2023-01-01T00:01:00Z,inf",
+                "2023-01-01T00:02:30Z,2.0", "2023-01-01T00:03:00Z,oops"]
+        path = tmp_path / "m.csv"
+        for message in ["non-numeric value 'oops' in row 6",
+                        "'2023-01-01T00:02:30Z' in row 5 is not minute-aligned",
+                        "non-finite value inf in row 4, column 'a'"]:
+            path.write_text("\n".join(["timestamp,a", *rows]) + "\n")
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_metrics(str(path))
+            rows.pop()
+
+    def test_stamps_to_minutes_names_the_first_bad_stamp(self):
+        good = ["2023-01-01T00:00:00Z", "1672531260", "2023-01-01T00:02:00+00:00"]
+        np.testing.assert_array_equal(dbdiag.data.stamps_to_minutes(good),
+                                      [27_875_520, 27_875_521, 27_875_522])
+        for bad, message in [
+                ("yesterday", "unparseable timestamp {}"),
+                ("1e300", "timestamp {} is outside the years 1 to 9999"),
+                ("2023-01-01T00:00:30Z", "timestamp {} is not minute-aligned")]:
+            for after in ["also bad", "2023-99-01", "1e300"]:
+                with pytest.raises(DataError) as info:
+                    dbdiag.data.stamps_to_minutes([*good, bad, after] + good * 50)
+                assert str(info.value) == message.format(repr(bad))
+                with pytest.raises(DataError) as info:
+                    dbdiag.data.stamps_to_minutes([*good, bad, after], [2, 3, 5, 8, 9])
+                assert str(info.value) == message.format(f"{bad!r} in row 8")
+        for at in (0, 57, 119):
+            for bad in ("2023-99-01", "1.2.3"):
+                stamps = good * 40
+                stamps[at] = bad
+                with pytest.raises(DataError) as info:
+                    dbdiag.data.stamps_to_minutes(stamps, range(2, 122))
+                assert str(info.value) == f"unparseable timestamp {bad!r} in row {at + 2}"
+
+
+class TestBulkWrite:
+    @pytest.mark.parametrize("names", [("a", "b", "c"), ("a,b", 'q"r'), ()])
+    def test_bytes_match_the_row_writer(self, tmp_path, names):
+        rng = np.random.default_rng(len(names))
+        minutes = np.array([-1_035_593_280, -1_035_593_279, 0, 27_875_520,
+                            4_223_371_678, 4_223_371_679])
+        values = rng.normal(size=(len(minutes), len(names))) * 1e3
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1]
+        values.flat[:len(specials)] = specials[:values.size]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_minute_csv(str(got), "timestamp", minutes, names, values)
+        loop_write_minute_csv(str(want), "timestamp", minutes, names, values)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().startswith(b"timestamp")
+        assert b"0001-01-01T00:00:00Z" in got.read_bytes()
+        assert b"9999-12-31T23:59:00Z" in got.read_bytes()
+
+    def test_stamps_equal_the_datetime_spelling(self):
+        minutes = np.random.default_rng(0).integers(-1_035_593_280, 4_223_371_680, 1000)
+        minutes[:2] = -1_035_593_280, 4_223_371_679
+        want = [datetime.fromtimestamp(m * 60, tz=timezone.utc).isoformat()
+                .replace("+00:00", "Z") for m in minutes.tolist()]
+        assert minutes_to_iso(minutes) == want
+        assert [minute_to_iso(m) for m in minutes] == want
+
+    @pytest.mark.parametrize("minute", [-1_035_593_281, 4_223_371_680])
+    def test_minutes_outside_years_1_to_9999_are_refused(self, minute):
+        with pytest.raises(DataError, match="outside the years 1 to 9999"):
+            minutes_to_iso(np.array([0, minute]))
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize("value", [
+        np.array([5e-324, -0.0, np.nan, np.inf, 1e308]), np.array(4), np.zeros((0, 3)),
+        np.arange(12.0).reshape(3, 4).T, np.array([[True, False]]),
+        np.linspace(0, 1, 5, dtype=np.float32), np.arange(6, dtype=">i4").reshape(2, 3)])
+    def test_round_trip_keeps_bits_dtype_and_shape(self, value):
+        entry = encode_array(value)
+        assert entry["dtype"].startswith(("<", "|"))
+        back = decode_array(json.loads(json.dumps(entry)))
+        assert back.shape == value.shape
+        assert back.dtype == value.dtype.newbyteorder("<")
+        assert np.array_equal(back, value, equal_nan=value.dtype.kind == "f")
+
+    @pytest.mark.parametrize("edit", [
+        {"dtype": "O"}, {"dtype": "<U3"}, {"dtype": "nonsense"}, {"data": "AAAA!"},
+        {"shape": [3]}, {"shape": "2"}, {"data": "AAAAAAAAAA=="}])
+    def test_malformed_entry_is_refused(self, edit):
+        entry = {**encode_array(np.arange(2.0)), **edit}
+        with pytest.raises((TypeError, ValueError)):
+            decode_array(entry)
+
+
 class TestGlobalNorm:
     def test_two_point_feature_maps_to_unit_range(self):
         frame = MetricFrame(("a",), np.array([0, 1], dtype=np.int64),
@@ -311,6 +579,13 @@ def oracle_text(payload) -> str:
     return json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
 
 
+def array_entry(value: np.ndarray) -> dict:
+    """A model file's stored array: base64 of its little-endian C-order bytes."""
+    little = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<"))
+    return {"data": base64.b64encode(little.tobytes()).decode(),
+            "dtype": little.dtype.str, "shape": list(value.shape)}
+
+
 def oracle_checksum(payload) -> str:
     """sha256 of the compact text model checksums were first taken over."""
     return hashlib.sha256(json.dumps(as_lists(payload), sort_keys=True,
@@ -361,9 +636,10 @@ class TestJsonCodec:
     @pytest.mark.parametrize("value", list(CODEC_PAYLOADS.values()),
                              ids=list(CODEC_PAYLOADS))
     def test_checksum_member_is_taken_over_the_rest(self, value, tmp_path):
+        # the way save_model adds its checksum member
         payload = {"value": value, "b": np.arange(6.0).reshape(2, 3), "ü": "z"}
         path = tmp_path / "out.json"
-        write_json(str(path), payload, checksum_key="checksum")
+        write_json(str(path), {**payload, "checksum": json_checksum(payload)})
         assert path.read_text() == oracle_text(
             {**payload, "checksum": oracle_checksum(payload)})
 
@@ -382,19 +658,24 @@ class TestJsonCodec:
         save_model(detector, str(path))
         payload = {
             "format": "dbdiag-model",
-            "format_version": 1,
+            "format_version": 2,
             "architecture": architecture,
             "window_steps": 4,
             "feature_names": list(names),
-            "normalization": {"mean": norm.mean, "std": norm.std},
-            "state": network.get_state(),
+            "normalization": {"mean": array_entry(norm.mean),
+                              "std": array_entry(norm.std)},
+            "state": {name: array_entry(value)
+                      for name, value in network.get_state().items()},
             "training": {"seed": 0, "val_mse": 0.25},
         }
         payload["checksum"] = oracle_checksum(payload)
         assert path.read_text() == oracle_text(payload)
-        loaded = load_model(str(path)).network.get_state()
+        loaded = load_model(str(path))
         for name, value in network.get_state().items():
-            np.testing.assert_array_equal(loaded[name], value)
+            assert loaded.network.get_state()[name].dtype == value.dtype
+            assert np.array_equal(loaded.network.get_state()[name], value)
+        assert np.array_equal(loaded.norm.mean, norm.mean)
+        assert np.array_equal(loaded.norm.std, norm.std)
 
 
 def test_only_data_py_calls_json_dump():

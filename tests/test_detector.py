@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from dbdiag import (
     save_model,
     train,
 )
+from dbdiag.data import decode_array, encode_array
 from dbdiag.errors import ConfigError, DataError, ModelIOError
 
 
@@ -201,11 +203,15 @@ class TestModelIO:
             load_model(str(path))
 
     def edited_model(self, detector, tmp_path, edit, part="state"):
-        """A saved model with one part edited and its checksum recomputed."""
+        """A saved model with the arrays of one part edited and its checksum
+        recomputed. ``edit`` gets a dict of writable arrays."""
         path = tmp_path / "model.json"
         save_model(detector, str(path))
         doc = json.loads(path.read_text())
-        edit(doc[part])
+        arrays = {name: decode_array(entry).copy() for name, entry in doc[part].items()}
+        edit(arrays)
+        doc[part] = {name: encode_array(np.asarray(value))
+                     for name, value in arrays.items()}
         del doc["checksum"]
         doc["checksum"] = hashlib.sha256(json.dumps(
             doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -243,7 +249,8 @@ class TestModelIO:
 
     def test_short_normalization_mean_rejected(self, tiny_run, tmp_path):
         path = self.edited_model(tiny_run.result.detector, tmp_path,
-                                 lambda norm: norm["mean"].pop(), "normalization")
+                                 lambda norm: norm.update(mean=norm["mean"][:-1]),
+                                 "normalization")
         with pytest.raises(ModelIOError, match=r"normalization.mean has shape \(5,\) "
                                                r"for 6 features"):
             load_model(path)
@@ -255,6 +262,34 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match=r"normalization.std\[2\] "
                                                r"\('session_logical_reads'\) is 0.0"):
             load_model(path)
+
+    def test_non_finite_state_entry_is_named(self, tmp_path):
+        def poison(state):
+            state["2:dense.weights"][0, 0] = np.nan
+        path = self.edited_model(load_model(str(FIXTURE_MODEL)), tmp_path, poison)
+        with pytest.raises(ModelIOError, match="state entry 2:dense.weights holds nan"):
+            load_model(path)
+
+    def test_format_version_1_is_refused_by_number(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError, match=re.escape(
+                "model format version 1 cannot be read (dbdiag reads version 2); "
+                "re-train the model")):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("target", [b'"shape": [', b'"data": "', b'"dtype": "<f'])
+    def test_an_edited_array_field_fails_the_integrity_check(self, tmp_path, target):
+        raw = bytearray(FIXTURE_MODEL.read_bytes())
+        at = raw.index(target, raw.index(b'"state"')) + len(target)
+        at += next(i for i, b in enumerate(raw[at:]) if chr(b).isalnum())
+        raw[at] ^= 0x01
+        path = tmp_path / "model.json"
+        path.write_bytes(raw)
+        with pytest.raises(ModelIOError, match="integrity"):
+            load_model(str(path))
 
     def test_wrong_format_marker_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -275,8 +310,9 @@ class TestModelIO:
 
 # A 2-epoch fit of BTN-(5)-BN-(3)-BN*-(5*)-BTN* on fixture_frame() with
 # TrainConfig(window_steps=4, batch_size=8, max_epochs=2, patience=2, seed=0),
-# written by save_model before each layer listed its own state. It pins the
-# model file format and the batch-norm running statistics it carries.
+# first written by save_model in model format 1 and converted once to format
+# 2 with the same weights. It pins the model file format and the batch-norm
+# running statistics it carries.
 FIXTURE_MODEL = Path(__file__).parent / "data" / "bn_btn_model.json"
 
 
