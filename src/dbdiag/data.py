@@ -25,8 +25,8 @@ from .errors import ConfigError, DataError, DiagError
 
 DEFAULT_WINDOW_STEPS = 30
 # the epoch minutes minute_to_iso can write: years 1 to 9999, UTC
-_FIRST_MINUTE = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp() // 60
-_LAST_MINUTE = datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc).timestamp() // 60
+FIRST_MINUTE = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp() // 60)
+LAST_MINUTE = int(datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc).timestamp() // 60)
 _TIMEZONE_WARNING = "no explicit representation of timezones"
 _NO_DATA_WARNING = "loadtxt: input contained no data"
 
@@ -41,7 +41,7 @@ class MetricFrame:
 
     metric_names: tuple[str, ...]
     timestamps: np.ndarray      # int64 epoch minutes, strictly increasing
-    values: np.ndarray          # [time, metric] float64
+    values: np.ndarray          # [time, metric] float64; float32 once normalized
     kind: str = "stat"
 
     def __post_init__(self):
@@ -107,7 +107,7 @@ def stamps_to_minutes(texts, rows=None) -> np.ndarray:
         raise _timestamp_error("unparseable timestamp {}", texts[first],
                                None if rows is None else rows[first]) from None
     misaligned = rem != 0.0
-    inside = (minutes >= _FIRST_MINUTE) & (minutes <= _LAST_MINUTE)
+    inside = (minutes >= FIRST_MINUTE) & (minutes <= LAST_MINUTE)
     bad = np.flatnonzero(misaligned | ~inside)
     if bad.size:
         i = bad[0]
@@ -264,7 +264,7 @@ def minute_to_iso(minute: int) -> str:
 def minutes_to_iso(minutes: np.ndarray) -> list[str]:
     """``minute_to_iso`` of every entry, by one NumPy conversion."""
     minutes = np.asarray(minutes, dtype=np.int64)
-    if minutes.size and not _FIRST_MINUTE <= minutes.min() <= minutes.max() <= _LAST_MINUTE:
+    if minutes.size and not FIRST_MINUTE <= minutes.min() <= minutes.max() <= LAST_MINUTE:
         raise DataError("epoch minutes outside the years 1 to 9999 cannot be written")
     stamps = np.datetime_as_string(minutes.astype("datetime64[m]"), unit="s")
     return [f"{stamp}Z" for stamp in stamps.tolist()]
@@ -431,7 +431,9 @@ class GlobalNorm:
         return cls(frame.metric_names, mean, std)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
+        """The z-scores of ``values``, computed in float64 and returned as
+        float32: the dtype every network pass computes in."""
+        return ((values - self.mean) / self.std).astype(np.float32)
 
 
 @dataclass

@@ -166,14 +166,18 @@ class ScoreSeries:
 
 
 def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
-    """[n, T, F] normalized windows -> [n, F] time-averaged squared errors."""
+    """[n, T, F] normalized windows -> [n, F] time-averaged squared errors.
+
+    The network runs in float32, as in training, whatever dtype the caller's
+    windows have; the time mean accumulates in float64.
+    """
     parts = []
     for start in range(0, windows.shape[0], _SCORE_CHUNK):
         # windows may be an overlapping view, which BLAS cannot take
-        chunk = np.ascontiguousarray(windows[start:start + _SCORE_CHUNK])
+        chunk = np.ascontiguousarray(windows[start:start + _SCORE_CHUNK], dtype=np.float32)
         recon = network.forward(chunk, training=False)
         resid = recon - chunk
-        parts.append((resid * resid).mean(axis=1))
+        parts.append((resid * resid).mean(axis=1, dtype=np.float64))
     return np.concatenate(parts, axis=0)
 
 

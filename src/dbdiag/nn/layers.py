@@ -1,6 +1,11 @@
 """Layers for the reconstruction network.
 
-Everything is float64 numpy. Each layer caches whatever its backward pass
+Each layer computes in the dtype of its input and never promotes it: it
+casts its float64 parameters and running statistics to that dtype, so its
+output and its parameter gradients share it. Training and scoring feed
+float32 (``GlobalNorm.apply`` returns it); gradient checks feed float64.
+The parameters, their optimizer state and the running statistics stay
+float64 whatever the input. Each layer caches whatever its backward pass
 needs during a ``forward(..., training=True)`` call and exposes trainable
 parameters and their gradients as name -> array dicts. No layer writes any
 state in a ``training=False`` forward pass (batch-stat layers read their
@@ -61,6 +66,7 @@ class Dense(Layer):
         self.bias = np.zeros(n_out)
         self.label = label
         self._x = None
+        self._w = None
         self.d_weights = None
         self.d_bias = None
 
@@ -76,10 +82,11 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ConfigError(
                 f"dense layer expects input width {self.n_in}, got shape {x.shape}")
+        weights = self.weights.astype(x.dtype, copy=False)
         if training:
-            self._x = x
-        out = x @ self.weights
-        out += self.bias
+            self._x, self._w = x, weights
+        out = x @ weights
+        out += self.bias.astype(x.dtype, copy=False)
         return out
 
     def backward(self, grad):
@@ -87,7 +94,7 @@ class Dense(Layer):
             raise InternalError("dense backward called before a training forward pass")
         self.d_weights = self._x.T @ grad
         self.d_bias = grad.sum(axis=0)
-        return grad @ self.weights.T
+        return grad @ self._w.T
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -193,6 +200,10 @@ class ScaleShift(Layer):
     def grads(self):
         return {"gamma": self.d_gamma, "beta": self.d_beta}
 
+    def scale_shift(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """``gamma`` and ``beta`` in the dtype the layer computes in."""
+        return self.gamma.astype(dtype, copy=False), self.beta.astype(dtype, copy=False)
+
 
 class TemporalNorm(ScaleShift):
     """Normalizes each (sample, feature) series along its own time axis.
@@ -229,8 +240,9 @@ class TemporalNorm(ScaleShift):
         norm /= denom
         if training:
             self._cache = (norm, std, denom, steps)
-        out = self.gamma * norm
-        out += self.beta
+        gamma, beta = self.scale_shift(x.dtype)
+        out = gamma * norm
+        out += beta
         return out, (mean, denom)
 
     def backward(self, grad):
@@ -245,7 +257,8 @@ class TemporalNorm(ScaleShift):
         out_grad, scaled = handed
         d_mean = _sum("bf", out_grad)
         d_denom = _sum("bf", out_grad, scaled)
-        return _moment_backward(grad, self.gamma, norm, denom, std, d_mean, d_denom,
+        gamma = self.gamma.astype(grad.dtype, copy=False)
+        return _moment_backward(grad, gamma, norm, denom, std, d_mean, d_denom,
                                 steps, axes=1)
 
 
@@ -267,8 +280,9 @@ class TemporalNormReverse(ScaleShift):
 
     def forward(self, x, training=False):
         x, (mean, denom) = x
-        scaled = self.gamma * x
-        scaled += self.beta
+        gamma, beta = self.scale_shift(x.dtype)
+        scaled = gamma * x
+        scaled += beta
         if training:
             self._cache = (x, scaled, denom)
         out = scaled * denom
@@ -285,7 +299,7 @@ class TemporalNormReverse(ScaleShift):
         self.d_gamma = _sum("f", work)
         np.multiply(grad, denom, out=work)
         self.d_beta = _sum("f", work)
-        np.multiply(grad, self.gamma, out=work)
+        np.multiply(grad, self.gamma.astype(grad.dtype, copy=False), out=work)
         work *= denom
         return work, (grad, scaled)
 
@@ -336,8 +350,11 @@ class BatchNorm(ScaleShift):
             if self.updates == 0:
                 raise ConfigError("batch norm has no running statistics yet; "
                                   "train before running inference")
-            norm = (x - self.running_mean) / (self.running_std + self.EPSILON)
-        return self.gamma * norm + self.beta
+            mean = self.running_mean.astype(x.dtype, copy=False)
+            denom = self.running_std.astype(x.dtype, copy=False) + self.EPSILON
+            norm = (x - mean) / denom
+        gamma, beta = self.scale_shift(x.dtype)
+        return gamma * norm + beta
 
     def backward(self, grad):
         if self._cache is None:
@@ -345,7 +362,8 @@ class BatchNorm(ScaleShift):
         norm, std, denom, count, axes = self._cache
         self.d_gamma = (grad * norm).sum(axis=axes)
         self.d_beta = grad.sum(axis=axes)
-        return _moment_backward(grad, self.gamma, norm, denom, std, 0.0, 0.0, count,
+        gamma = self.gamma.astype(grad.dtype, copy=False)
+        return _moment_backward(grad, gamma, norm, denom, std, 0.0, 0.0, count,
                                 axes=axes)
 
     def state(self):

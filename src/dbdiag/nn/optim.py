@@ -2,7 +2,9 @@
 
 Standard formulation with bias-corrected first and second moments. The step
 count increments once per ``step()`` call, not per parameter, so every
-parameter sees the same bias correction.
+parameter sees the same bias correction. Each gradient is upcast to float64
+once, so the moments and the parameters update in float64 whatever dtype
+the layers computed in.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 raise TrainingError(f"no gradient for parameter {name!r}")
+            g = g.astype(np.float64, copy=False)
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
             m = self._m[name]

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import MetricFrame, read_json, write_json
+from .data import FIRST_MINUTE, LAST_MINUTE, MetricFrame, read_json, write_json
 from .errors import ConfigError
 
 DEFAULT_STAT_FEATURES = (
@@ -154,6 +154,11 @@ class ScenarioSpec:
         if self.duration_minutes < 2:
             raise ConfigError(f"duration must be at least 2 minutes, "
                               f"got {self.duration_minutes}")
+        last = self.start_minute + self.duration_minutes - 1
+        if not FIRST_MINUTE <= self.start_minute <= last <= LAST_MINUTE:
+            raise ConfigError(f"scenario minutes {self.start_minute} to {last} fall "
+                              f"outside the years 1 to 9999 (epoch minutes "
+                              f"{FIRST_MINUTE} to {LAST_MINUTE})")
         if not self.features:
             raise ConfigError("scenario needs at least one feature")
         if len(set(self.features)) != len(self.features):

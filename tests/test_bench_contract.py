@@ -1,13 +1,19 @@
-"""The benchmark's span wrappers against the entry points they wrap.
+"""The benchmark's span wrappers and correctness gates against dbdiag.
 
 ``perfbench/spans.py`` times dbdiag by replacing module attributes, class
 methods and layer methods by name from outside ``src/``. Running its
 ``instrument`` around a tiny fit here makes a renamed entry point fail in
-the test suite, not only when the benchmark runs.
+the test suite, not only when the benchmark runs. The benchmark's fit check
+and its "perturbed output bias" gate rest on two facts about a saved model,
+checked here on a small fit: it re-scores the test windows bit for bit, and
+a 1e-9 change to its output bias changes that re-score.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from dbdiag import TrainConfig, data, default_scenario, detector, generate, report, similarity
 
@@ -42,3 +48,26 @@ def test_spans_cover_a_fit_and_restore_every_attribute():
         assert old.keys() == new.keys(), owner
         changed = [key for key in old if old[key] is not new[key]]
         assert changed == [], owner
+
+
+def test_a_saved_model_rescores_bit_for_bit_and_sees_a_tiny_bias_change(tmp_path):
+    frame = generate(default_scenario(seed=3, duration_minutes=600)).stats
+    config = TrainConfig(architecture="BTN-(8)-(4)-(8*)-BTN*", max_epochs=2,
+                         batch_size=64)
+    result = detector.train(frame, config)
+    path = str(tmp_path / "model.json")
+    detector.save_model(result.detector, path)
+    reloaded = detector.load_model(path)
+
+    def rescore():
+        normed = replace(frame, values=reloaded.norm.apply(frame.values))
+        windows = data.make_windows(normed, config.window_steps, config.stride)
+        test = data.split_windows(windows, config.split).test
+        return reloaded.score_windows(test, normalized=True).scores
+
+    assert np.array_equal(rescore(), result.test_scores.scores)
+    bias = next(value for name, value in reloaded.network.parameters().items()
+                if name.endswith("dense_out.bias"))
+    assert bias.dtype == np.float64
+    bias += 1e-9
+    assert not np.array_equal(rescore(), result.test_scores.scores)

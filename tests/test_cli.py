@@ -13,7 +13,7 @@ import pytest
 import dbdiag
 from dbdiag import ReportConfig, TrainConfig, minute_to_iso
 from dbdiag.cli import _build_parser, _config_from, _merge_config, main
-from dbdiag.data import decode_array, encode_array, json_checksum, json_text
+from dbdiag.data import LAST_MINUTE, decode_array, encode_array, json_checksum, json_text
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +208,19 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "seed cannot be negative, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("start", [-2_000_000_000, LAST_MINUTE - 100])
+    def test_out_of_range_start_minute_is_usage(self, tmp_path, capsys, start):
+        """Both ends of the years 1 to 9999: the spec is refused before
+        anything is generated or written."""
+        out = tmp_path / "out"
+        out.mkdir()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "duration_minutes": 120,
+                                    "start_minute": start}))
+        assert main(["gen", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert "outside the years 1 to 9999" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["match", "report"])
     def test_negative_margin_is_usage(self, pipeline, tmp_path, capsys, command):

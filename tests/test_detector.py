@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,10 @@ class TestScoring:
         windows = make_windows(frame, det.window_steps)
         i = 17
         x = det.norm.apply(windows.windows[i])[None]
+        assert x.dtype == np.float32
         pred = det.network.forward(x, training=False)
-        expect = ((pred[0] - x[0]) ** 2).mean(axis=0)
+        expect = ((pred[0] - x[0]) ** 2).mean(axis=0, dtype=np.float64)
+        assert scores.scores.dtype == np.float64
         np.testing.assert_allclose(scores.scores[i], expect, atol=1e-12)
 
     @pytest.mark.parametrize("stride", [1, 7])
@@ -117,6 +120,17 @@ class TestScoring:
             want = det.score_windows(make_windows(f, det.window_steps, stride))
             assert np.array_equal(got.scores, want.scores)
             assert np.array_equal(got.window_starts, want.window_starts)
+
+    def test_normalized_windows_score_alike_in_either_float_dtype(self, tiny_run):
+        # scoring runs the network in float32, as training does, even on a
+        # caller's float64 copy of the normalized windows
+        det = tiny_run.result.detector
+        frame = tiny_run.scenario.stats
+        normed = replace(frame, values=det.norm.apply(frame.values))
+        windows = make_windows(normed, det.window_steps)
+        wide = replace(windows, windows=windows.windows.astype(np.float64))
+        assert np.array_equal(det.score_windows(wide, normalized=True).scores,
+                              det.score_windows(windows, normalized=True).scores)
 
     @pytest.mark.parametrize("gap", [False, True])
     def test_score_frame_matches_window_level_normalization_without_btn(self, gap):
@@ -343,12 +357,18 @@ class TestFixtureModel:
         assert path.read_bytes() == FIXTURE_MODEL.read_bytes()
 
     def test_scores_reproduce_the_recorded_test_mse(self):
-        """The last 9 of the 45 windows were the test split."""
+        """The last 9 of the 45 windows were the test split.
+
+        The recorded test_mse was scored in float64; scoring now runs the
+        network in float32, which moves this mean by about 5e-8 relative, so
+        the recorded value is compared at 1e-6. The float32 mean itself is
+        pinned exactly, so any change to the scoring arithmetic shows."""
         detector = load_model(str(FIXTURE_MODEL))
         scores = detector.score_frame(fixture_frame()).scores
         assert scores.shape == (45, 2)
         np.testing.assert_allclose(scores[-9:].mean(),
-                                   detector.training_meta["test_mse"], rtol=1e-12)
+                                   detector.training_meta["test_mse"], rtol=1e-6)
+        assert scores[-9:].mean() == 0.14061322984828925
 
 
 class TestAblation:

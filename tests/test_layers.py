@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dbdiag import TABLE_ARCHITECTURES, build_network, parse_architecture
 from dbdiag.errors import ConfigError, InternalError
 from dbdiag.nn import (
+    Adam,
     BatchNorm,
     Dense,
     ReLU,
@@ -203,11 +204,19 @@ def test_concurrent_inference_on_a_shared_network(rng):
 
     The temporal-norm pair hands its per-window moments from BTN to BTN*; if
     they passed through layer state, one thread would restore its windows
-    with the other thread's levels and get a silently wrong output.
+    with the other thread's levels and get a silently wrong output. The
+    windows are float32, as scoring feeds them, so a dense layer's cast of
+    its weights is on the path: an inference pass may not keep it, or any
+    other attribute.
     """
-    net = build_network(parse_architecture("BTN-(12)-(4)-(12*)-BTN*"), 10, 3, rng)
-    inputs = [rng.normal(size=(4, 10, 3)) * 5.0 + 100.0 * (i + 1) for i in range(2)]
+    net = build_network(parse_architecture("BTN-(12)-BN-(4)-BN*-(12*)-BTN*"), 10, 3, rng)
+    net.forward(rng.normal(size=(6, 10, 3)).astype(np.float32), training=True)
+    before = [dict(vars(layer)) for layer in net.layers]
+    state = net.get_state()
+    inputs = [(rng.normal(size=(4, 10, 3)) * 5.0 + 100.0 * (i + 1)).astype(np.float32)
+              for i in range(2)]
     expected = [net.forward(x) for x in inputs]
+    assert all(out.dtype == np.float32 for out in expected)
     wrong = [0, 0]
 
     def run(i):
@@ -227,6 +236,12 @@ def test_concurrent_inference_on_a_shared_network(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == [0, 0]
+    for layer, old in zip(net.layers, before):
+        new = vars(layer)
+        assert new.keys() == old.keys(), layer.label
+        assert [key for key in old if new[key] is not old[key]] == [], layer.label
+    for name, value in net.get_state().items():
+        assert np.array_equal(value, state[name]), name
 
 
 def test_snapshot_is_isolated_from_later_training(rng):
@@ -419,3 +434,29 @@ def test_training_pass_never_writes_its_inputs(text, rng):
     assert got.keys() == want.keys()
     for name, g in want.items():
         assert np.array_equal(got[name], g), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("text", TABLE_ARCHITECTURES)
+def test_layers_compute_in_the_input_dtype(text, dtype, rng):
+    """A batch's dtype carries through the forward pass, the input gradient
+    and every parameter gradient, so no layer promotes float32 to float64;
+    a float64 batch runs in float64 end to end. Adam updates the float64
+    parameters from either, and every state array keeps its dtype."""
+    net = build_network(parse_architecture(text), 8, 3, rng)
+    state = net.get_state()
+    assert all(value.dtype == np.float64 for name, value in state.items()
+               if not name.endswith(".updates"))
+    optimizer = Adam(net.parameters())
+    x = (rng.normal(size=(5, 8, 3)) * 2.0 + 10.0).astype(dtype)
+    out = net.forward(x, training=True)
+    assert out.dtype == dtype
+    assert net.backward(rng.normal(size=x.shape).astype(dtype)).dtype == dtype
+    grads = net.gradients()
+    assert {name: g.dtype for name, g in grads.items()} == {name: dtype for name in grads}
+    optimizer.step(grads)
+    after = net.get_state()
+    assert {name: v.dtype for name, v in after.items()} == \
+        {name: v.dtype for name, v in state.items()}
+    assert any(not np.array_equal(after[name], state[name]) for name in grads)
+    assert net.forward(x, training=False).dtype == dtype

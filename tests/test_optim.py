@@ -1,5 +1,7 @@
 """Adam update rule and the reconstruction loss."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestAdam:
         opt.step({"w": np.ones(5)})
         assert not np.array_equal(p, before)  # same buffer, new values
 
+    def test_float32_gradient_updates_in_float64(self, rng):
+        """A float32 gradient is upcast once, so the float64 parameters take
+        the step its float64 copy would give, bit for bit."""
+        g = rng.normal(size=5).astype(np.float32)
+        fed32 = rng.normal(size=5)
+        fed64 = fed32.copy()
+        a, b = Adam({"w": fed32}), Adam({"w": fed64})
+        for _ in range(3):
+            a.step({"w": g})
+            b.step({"w": g.astype(np.float64)})
+        assert fed32.dtype == np.float64
+        assert np.array_equal(fed32, fed64)
+
     def test_missing_gradient_rejected(self):
         opt = Adam({"w": np.zeros(2)})
         with pytest.raises(TrainingError):
@@ -103,6 +118,16 @@ class TestLoss:
         total, g = squared_error(pred, target)
         assert total == float(np.sum((pred - target) ** 2))
         assert np.array_equal(g, 2.0 * (pred - target) / 3)
+
+    def test_float32_batch_sums_in_float64(self, rng):
+        pred = rng.normal(size=(64, 30, 6)).astype(np.float32)
+        target = rng.normal(size=pred.shape).astype(np.float32)
+        resid = pred - target
+        total, g = squared_error(pred, target)
+        exact = math.fsum((resid * resid).astype(np.float64).ravel())
+        assert total == pytest.approx(exact, rel=1e-13)
+        assert g.dtype == np.float32
+        assert np.array_equal(g, resid * 2.0 / 64)
 
     def test_zero_at_perfect_reconstruction(self, rng):
         x = rng.normal(size=(2, 5, 3))

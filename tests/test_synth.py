@@ -14,6 +14,7 @@ from dbdiag import (
     generate,
     null_scenario,
 )
+from dbdiag.data import FIRST_MINUTE, LAST_MINUTE, minutes_to_iso
 from dbdiag.errors import ConfigError
 from dbdiag.spc import AnomalyPeriod
 
@@ -59,6 +60,20 @@ class TestSpecValidation:
             tiny_spec(injections=(
                 Injection("spike", "cpu_used", 10, 5, 1.0,
                           couple=(("active_session", 1.5),)),))
+
+    @pytest.mark.parametrize("start, ok", [
+        (FIRST_MINUTE - 1, False), (FIRST_MINUTE, True),
+        (LAST_MINUTE - 699, True), (LAST_MINUTE - 698, False),
+        (-2_000_000_000, False)])
+    def test_minutes_must_lie_in_the_years_1_to_9999(self, start, ok):
+        """The first and last minute of the 700-minute scenario must be
+        writable as ISO stamps."""
+        if not ok:
+            with pytest.raises(ConfigError, match="outside the years 1 to 9999"):
+                tiny_spec(start_minute=start)
+            return
+        stamps = generate(tiny_spec(start_minute=start)).stats.timestamps
+        assert minutes_to_iso(stamps[[0, -1]])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
