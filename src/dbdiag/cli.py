@@ -277,6 +277,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"stride must be at least 1, got {args.stride}")
     detector = load_model(args.model)
     frame = load_metrics(args.stats)
     scores = detector.score_frame(frame, stride=args.stride)
@@ -350,6 +352,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_report(args) -> int:
     config = _config_from(ReportConfig, args)
+    if args.stride < 1:
+        raise ConfigError(f"stride must be at least 1, got {args.stride}")
     detector = load_model(args.model)
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event") if args.events else None

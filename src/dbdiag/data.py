@@ -5,6 +5,10 @@ Timestamps are parsed to epoch minutes and must land exactly on minute
 boundaries; rows are sorted, duplicates rejected. Gaps are allowed in the
 file and are respected later: windows never span a gap. Windows are read-only
 views of the frame's values; a frame with gaps makes one gathered copy.
+
+Every JSON file is written by ``write_json`` in the stdlib's indented layout
+(``json_text``); a model's checksum is taken over the compact text
+(``json_checksum``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import json
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -304,48 +307,6 @@ def write_minute_csv(path: str, key: str, minutes: np.ndarray,
                          for stamp, row in zip(minutes_to_iso(minutes), rows)))
 
 
-# the types json.dumps spells as one token with no "[", "]" or ","
-_SCALAR_TYPES = frozenset((float, int, bool, type(None)))
-
-
-def _encode(obj, indent: str) -> str:
-    """``obj`` as two-space-indented JSON text with sorted keys.
-
-    ``indent`` is the indentation of the line the text starts on. An ndarray
-    is encoded as its ``tolist()``. A list of scalars, such as each row of a
-    matrix, is formatted by one ``json.dumps`` call and indented with
-    ``str.replace``, which is safe because no scalar's text holds ``[``,
-    ``]`` or ``,``. Strings go through json's ``encode_basestring_ascii`` and
-    other leaves through ``json.dumps``, so escaping and the spelling of
-    ``NaN`` are json's.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # pieces joined once, so no member's text is copied twice
-        pieces = ["{\n"]
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            pieces += (inner, encode_basestring_ascii(key), ": ", _encode(obj[key], inner),
-                       ",\n")
-        pieces[-1] = f"\n{indent}}}"
-        return "".join(pieces)
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]"
-    if set(map(type, obj)) <= _SCALAR_TYPES:
-        body = json.dumps(obj, separators=(",", ":"))[1:-1].replace(",", ",\n" + inner)
-        return f"[\n{inner}{body}\n{indent}]"
-    return "[\n" + ",\n".join(inner + _encode(item, inner) for item in obj) + f"\n{indent}]"
-
-
 def _as_list(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -353,13 +314,9 @@ def _as_list(obj):
 
 
 def json_text(payload) -> str:
-    """The layout of every JSON file: two-space indent, sorted keys, newline.
-
-    ndarrays are written as lists and object keys must be strings. The text
-    equals ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` with
-    every array replaced by its ``tolist()``.
-    """
-    return _encode(payload, "") + "\n"
+    """The layout of every JSON file: ``json.dumps`` with a two-space indent
+    and sorted keys, then a newline. ndarrays are written as lists."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=_as_list) + "\n"
 
 
 def json_checksum(payload) -> str:
@@ -369,7 +326,7 @@ def json_checksum(payload) -> str:
 
 
 def write_json(path: str, payload) -> None:
-    """Write ``payload`` as ``json_text`` would."""
+    """Write ``json_text(payload)`` to ``path``."""
     with open(path, "w") as fh:
         fh.write(json_text(payload))
 

@@ -76,6 +76,11 @@ class TrainConfig:
     split: tuple[float, float, float] = field(default=(0.6, 0.2, 0.2))
 
     def __post_init__(self):
+        parse_architecture(self.architecture)
+        if self.window_steps < 2:
+            raise ConfigError(f"window_steps must be at least 2, got {self.window_steps}")
+        if self.stride < 1:
+            raise ConfigError(f"stride must be at least 1, got {self.stride}")
         if self.seed < 0:
             raise ConfigError(f"seed cannot be negative, got {self.seed}")
         if self.batch_size < 1:
@@ -139,14 +144,15 @@ class ScoreSeries:
             names = tuple(payload["feature_names"])
             starts = stamps_to_minutes(payload["window_starts"])
             scores = np.asarray(payload["scores"], dtype=np.float64)
-            steps = int(payload["window_steps"])
+            steps = _window_steps(payload["window_steps"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelIOError(f"malformed score file: {exc}") from None
         if scores.ndim != 2 or scores.shape != (len(starts), len(names)):
             raise ModelIOError(f"score matrix shape {scores.shape} does not match "
                                f"{len(starts)} windows x {len(names)} features")
-        if steps < 2:
-            raise ModelIOError(f"window_steps must be at least 2, got {steps}")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")
         back = np.flatnonzero(np.diff(starts) <= 0) + 1
         if back.size:
             raise ModelIOError(f"window starts must be strictly increasing: window "
@@ -163,6 +169,15 @@ class ScoreSeries:
     def write_csv(self, path: str) -> None:
         write_minute_csv(path, "window_start", self.window_starts,
                          self.feature_names, self.scores)
+
+
+def _window_steps(value) -> int:
+    """A stored window length: a JSON integer, not a boolean, of at least 2."""
+    if type(value) is not int:
+        raise ModelIOError(f"window_steps must be an integer, got {value!r}")
+    if value < 2:
+        raise ModelIOError(f"window_steps must be at least 2, got {value}")
+    return value
 
 
 def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
@@ -362,7 +377,7 @@ def load_model(path: str) -> Detector:
         raise ModelIOError(f"{path} failed its integrity check; the file is corrupt")
     try:
         spec = parse_architecture(payload["architecture"])
-        window_steps = int(payload["window_steps"])
+        window_steps = _window_steps(payload["window_steps"])
         names = tuple(payload["feature_names"])
         norm = GlobalNorm(
             names,
@@ -421,9 +436,8 @@ def run_ablation(frame: MetricFrame, architectures: tuple[str, ...] | None = Non
     base = config or TrainConfig()
     rows = []
     for arch in architectures or TABLE_ARCHITECTURES:
-        cfg = replace(base, architecture=arch)
         try:
-            result = train(frame, cfg)
+            result = train(frame, replace(base, architecture=arch))
         except (ConfigError, TrainingError) as exc:
             rows.append({"architecture": arch, "error": str(exc)})
             continue

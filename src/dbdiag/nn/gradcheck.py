@@ -13,6 +13,11 @@ from .layers import ReLU, TemporalNorm, TemporalNormReverse
 from .losses import squared_error
 from .network import Network
 
+# central-difference step of numeric_gradients
+STEP = 1e-5
+# relative_error's denominator floor
+FLOOR = 1e-4
+
 
 def analytic_gradients(net: Network, x: np.ndarray,
                        target: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -23,8 +28,8 @@ def analytic_gradients(net: Network, x: np.ndarray,
     return net.gradients(), d_input
 
 
-def numeric_gradients(net: Network, x: np.ndarray, target: np.ndarray,
-                      h: float = 1e-5) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def numeric_gradients(net: Network, x: np.ndarray,
+                      target: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Central-difference gradients of the loss wrt every parameter and the input.
 
     Batch-stat layers must see training=True here as well, otherwise the
@@ -43,12 +48,12 @@ def numeric_gradients(net: Network, x: np.ndarray, target: np.ndarray,
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             hi = loss_at()
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             lo = loss_at()
             flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * h)
+            gflat[i] = (hi - lo) / (2.0 * STEP)
         param_grads[name] = g
 
     d_input = np.zeros_like(x)
@@ -56,12 +61,12 @@ def numeric_gradients(net: Network, x: np.ndarray, target: np.ndarray,
     gflat = d_input.reshape(-1)
     for i in range(xflat.size):
         orig = xflat[i]
-        xflat[i] = orig + h
+        xflat[i] = orig + STEP
         hi = loss_at()
-        xflat[i] = orig - h
+        xflat[i] = orig - STEP
         lo = loss_at()
         xflat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
+        gflat[i] = (hi - lo) / (2.0 * STEP)
     return param_grads, d_input
 
 
@@ -87,8 +92,8 @@ def min_kink_distance(net: Network, x: np.ndarray) -> float:
     return smallest
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
-    """max |a-b| / max(floor, |a|+|b|), elementwise then reduced.
+def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a-b| / max(FLOOR, |a|+|b|), elementwise then reduced.
 
     The floor keeps structurally zero gradients honest: a bias feeding a
     batch-stat layer has a true gradient of exactly zero, where central
@@ -98,5 +103,5 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    denom = np.maximum(np.abs(a) + np.abs(b), floor)
+    denom = np.maximum(np.abs(a) + np.abs(b), FLOOR)
     return float(np.max(np.abs(a - b) / denom))

@@ -20,14 +20,13 @@ from .data import MetricFrame, minute_to_iso
 from .errors import ConfigError, DataError
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray,
-                 squared: bool = False) -> float | np.ndarray:
+def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Classic dynamic-programming DTW with unit steps and no band.
 
-    Pointwise cost is |a_i - b_j| (squared when requested); the warping path
-    may match, insert, or delete one element at a time. ``b`` is one series
-    of shape (m,), which gives a float, or k series of shape (k, m), which
-    gives k distances from ``a`` as a (k,) array.
+    Pointwise cost is |a_i - b_j|; the warping path may match, insert, or
+    delete one element at a time. ``b`` is one series of shape (m,), which
+    gives a float, or k series of shape (k, m), which gives k distances from
+    ``a`` as a (k,) array.
 
     Cells D[i, j] are filled one anti-diagonal i + j = d at a time, every
     cell of a diagonal (and of every row of ``b``) in one NumPy step. Each
@@ -61,8 +60,6 @@ def dtw_distance(a: np.ndarray, b: np.ndarray,
         np.minimum(out, prev[:, lo:hi + 1], out=out)
         # b[j - 1] for j = d - i is b_rev[m - d + i].
         costs = np.abs(a[lo - 1:hi] - b_rev[:, m - d + lo:m - d + hi + 1])
-        if squared:
-            costs *= costs
         np.add(costs, out, out=out)
     dist = diags[(n + m) % 3, :, n]
     return float(dist[0]) if b.ndim == 1 else dist.copy()

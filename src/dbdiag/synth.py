@@ -47,6 +47,11 @@ MINUTES_PER_DAY = 1440
 
 INJECTION_KINDS = ("spike", "shift", "ramp")
 
+# drift_scenario's level drift over the scenario, in daily amplitudes
+DRIFT_FACTOR = 3.0
+# the share of a truth interval a detection must overlap to hit it
+MIN_OVERLAP_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class Baseline:
@@ -340,11 +345,10 @@ def null_scenario(seed: int = 11, duration_minutes: int = 2_000) -> ScenarioSpec
     return ScenarioSpec(seed=seed, duration_minutes=duration_minutes)
 
 
-def drift_scenario(seed: int = 13, duration_minutes: int = 10_800,
-                   drift_factor: float = 3.0) -> ScenarioSpec:
+def drift_scenario(seed: int = 13, duration_minutes: int = 10_800) -> ScenarioSpec:
     """A strongly non-stationary variant of the stock scenario.
 
-    Every feature's level drifts by ``drift_factor`` daily amplitudes over
+    Every feature's level drifts by ``DRIFT_FACTOR`` daily amplitudes over
     the scenario, on top of the daily cycle. Global z-normalization cannot
     remove that kind of drift, so models without per-window normalization
     reconstruct poorly everywhere; this is the setting that separates the
@@ -354,26 +358,25 @@ def drift_scenario(seed: int = 13, duration_minutes: int = 10_800,
     drifted = []
     for name in base.features:
         b = base.baseline_for(name)
-        slope = drift_factor * b.daily_amplitude / duration_minutes
+        slope = DRIFT_FACTOR * b.daily_amplitude / duration_minutes
         drifted.append((name, Baseline(b.level, b.daily_amplitude, slope,
                                        b.noise_sigma, b.phase)))
     return ScenarioSpec(seed=seed, duration_minutes=duration_minutes,
                         injections=base.injections, baselines=tuple(drifted))
 
 
-def evaluate_detection(labels: tuple[TruthLabel, ...], groups,
-                       min_overlap_fraction: float = 0.5) -> dict:
+def evaluate_detection(labels: tuple[TruthLabel, ...], groups) -> dict:
     """Score ranked detections against ground truth.
 
     ``groups`` is any sequence of ranked objects with start/end/rank
     attributes (anomaly periods or period groups). A truth counts as hit by
-    a detection when their overlap covers at least ``min_overlap_fraction``
+    a detection when their overlap covers at least ``MIN_OVERLAP_FRACTION``
     of the truth interval; each truth reports the best (lowest) qualifying
     rank.
     """
     rows = []
     for lab in labels:
-        need = min_overlap_fraction * (lab.end - lab.start)
+        need = MIN_OVERLAP_FRACTION * (lab.end - lab.start)
         best_rank = None
         best_overlap = 0
         for g in groups:

@@ -202,8 +202,7 @@ def test_criterion_5_end_to_end_detection(acceptance, default_run):
     detector = default_run.result.detector
     scores = detector.score_frame(scenario.stats)
     groups = group_periods(detect(scores, k=3.0))
-    verdict = evaluate_detection(scenario.labels, groups,
-                                 min_overlap_fraction=0.5)
+    verdict = evaluate_detection(scenario.labels, groups)
     elapsed = default_run.build_seconds + (time.perf_counter() - t0)
 
     biggest = max(scenario.labels, key=lambda lab: lab.sigma_ratio)

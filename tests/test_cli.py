@@ -137,7 +137,16 @@ class TestExitCodes:
         (lambda doc: doc["window_starts"].reverse(),
          "window starts must be strictly increasing: window 1"),
         (lambda doc: doc.update(window_steps=1), "window_steps must be at least 2"),
-    ], ids=["reversed_starts", "one_step_windows"])
+        (lambda doc: doc.update(window_steps=10.9),
+         "window_steps must be an integer, got 10.9"),
+        (lambda doc: doc.update(window_steps="10"),
+         "window_steps must be an integer, got '10'"),
+        (lambda doc: doc.update(window_steps=True),
+         "window_steps must be an integer, got True"),
+        (lambda doc: doc["feature_names"].__setitem__(1, doc["feature_names"][0]),
+         "feature name 'cpu_used' appears more than once"),
+    ], ids=["reversed_starts", "one_step_windows", "fractional_window_steps",
+            "string_window_steps", "boolean_window_steps", "repeated_feature_name"])
     def test_malformed_scores_are_model_errors(self, pipeline, tmp_path, capsys,
                                                edit, message):
         scores = tmp_path / "scores.json"
@@ -278,6 +287,12 @@ class TestExitCodes:
         ("detect", "--sigma", "nan", "sigma_k must be finite and positive, got nan"),
         ("detect", "--gap-tolerance", "-1", "gap_tolerance cannot be negative, got -1"),
         ("match", "--margin", "-5", "margin cannot be negative, got -5"),
+        ("train", "--architecture", "bogus", "unrecognized token 'bogus'"),
+        ("train", "--window", "1", "window_steps must be at least 2, got 1"),
+        ("train", "--stride", "0", "stride must be at least 1, got 0"),
+        ("ablate", "--window", "1", "window_steps must be at least 2, got 1"),
+        ("report", "--stride", "0", "stride must be at least 1, got 0"),
+        ("score", "--stride", "0", "stride must be at least 1, got 0"),
     ])
     def test_bad_training_option_is_refused_before_the_csv_is_read(
             self, tmp_path, capsys, command, option, value, message):
@@ -288,6 +303,8 @@ class TestExitCodes:
             "ablate": ["--stats", "missing.csv", "--out", "ablate.json"],
             "report": ["--model", "missing.json", "--stats", "missing.csv",
                        "--out-dir", "out"],
+            "score": ["--model", "missing.json", "--stats", "missing.csv",
+                      "--out", "scores.json"],
             "detect": ["--scores", "missing.json", "--out", "detections.json"],
             "match": ["--stats", "missing.csv", "--events", "missing_events.csv",
                       "--out", "matches.json"],

@@ -643,10 +643,6 @@ class TestJsonCodec:
         assert path.read_text() == oracle_text(
             {**payload, "checksum": oracle_checksum(payload)})
 
-    def test_non_string_keys_are_refused(self):
-        with pytest.raises(TypeError, match="keys must be strings"):
-            json_text({"a": {1: 2.0}})
-
     @pytest.mark.parametrize("architecture", TABLE_ARCHITECTURES)
     def test_save_model_writes_the_json_dumps_layout(self, architecture, tmp_path):
         rng = np.random.default_rng(3)

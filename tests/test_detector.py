@@ -226,6 +226,11 @@ class TestModelIO:
         edit(arrays)
         doc[part] = {name: encode_array(np.asarray(value))
                      for name, value in arrays.items()}
+        return self.resealed(doc, path)
+
+    @staticmethod
+    def resealed(doc, path):
+        """Write a model document with its checksum recomputed."""
         del doc["checksum"]
         doc["checksum"] = hashlib.sha256(json.dumps(
             doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -293,6 +298,15 @@ class TestModelIO:
                 "model format version 1 cannot be read (dbdiag reads version 2); "
                 "re-train the model")):
             load_model(str(path))
+
+    @pytest.mark.parametrize("steps", [4.5, "4", True])
+    def test_window_steps_must_be_an_integer(self, tmp_path, steps):
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        doc["window_steps"] = steps
+        path = self.resealed(doc, tmp_path / "model.json")
+        with pytest.raises(ModelIOError, match=re.escape(
+                f"window_steps must be an integer, got {steps!r}")):
+            load_model(path)
 
     @pytest.mark.parametrize("target", [b'"shape": [', b'"data": "', b'"dtype": "<f'])
     def test_an_edited_array_field_fails_the_integrity_check(self, tmp_path, target):

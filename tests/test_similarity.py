@@ -34,7 +34,7 @@ def dtw_by_path_enumeration(a, b):
     return walk(0, 0, 0.0)
 
 
-def dtw_by_rows(a, b, squared=False):
+def dtw_by_rows(a, b):
     """The original row-by-row DTW loop, kept as the exact reference."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -45,8 +45,6 @@ def dtw_by_rows(a, b, squared=False):
     for i in range(1, n + 1):
         cur[0] = np.inf
         costs = np.abs(a[i - 1] - b)
-        if squared:
-            costs = costs * costs
         for j in range(1, m + 1):
             cur[j] = costs[j - 1] + min(prev[j - 1], prev[j], cur[j - 1])
         prev, cur = cur, prev
@@ -80,37 +78,29 @@ class TestDtw:
             assert d >= 0.0
             assert d == pytest.approx(dtw_distance(b, a), rel=1e-12)
 
-    def test_squared_cost_flag(self):
-        a = np.array([0.0, 0.0])
-        b = np.array([3.0, 3.0])
-        assert dtw_distance(a, b) == 6.0
-        assert dtw_distance(a, b, squared=True) == 18.0
-
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
             dtw_distance(np.array([]), np.array([1.0]))
         with pytest.raises(DataError):
             dtw_distance(np.array([1.0]), np.empty((3, 0)))
 
-    @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize("n, m", [(80, 60), (60, 80), (45, 45), (1, 60),
                                       (60, 1), (1, 1), (2, 3)])
-    def test_matches_row_by_row_loop_exactly(self, n, m, squared):
+    def test_matches_row_by_row_loop_exactly(self, n, m):
         rng = np.random.default_rng(n * 1000 + m)
         a = rng.normal(size=n)
         b = rng.normal(size=m) * 2.0 + 0.5
-        assert dtw_distance(a, b, squared=squared) == dtw_by_rows(a, b, squared)
+        assert dtw_distance(a, b) == dtw_by_rows(a, b)
 
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_stacked_rows_equal_separate_calls(self, rng, squared):
+    def test_stacked_rows_equal_separate_calls(self, rng):
         a = rng.normal(size=37)
         b = rng.normal(size=(5, 23))
-        batched = dtw_distance(a, b, squared=squared)
+        batched = dtw_distance(a, b)
         assert isinstance(batched, np.ndarray) and batched.shape == (5,)
         for row, dist in zip(b, batched):
-            single = dtw_distance(a, row, squared=squared)
+            single = dtw_distance(a, row)
             assert isinstance(single, float)
-            assert dist == single == dtw_by_rows(a, row, squared)
+            assert dist == single == dtw_by_rows(a, row)
 
     def test_shapes_rejected(self):
         with pytest.raises(DataError):
