@@ -141,7 +141,7 @@ class ScoreSeries:
             if payload["format_version"] != SCORES_FORMAT_VERSION:
                 raise ModelIOError(
                     f"unsupported score format version {payload['format_version']!r}")
-            names = tuple(payload["feature_names"])
+            names = _feature_names(payload["feature_names"])
             starts = stamps_to_minutes(payload["window_starts"])
             scores = np.asarray(payload["scores"], dtype=np.float64)
             steps = _window_steps(payload["window_steps"])
@@ -150,9 +150,6 @@ class ScoreSeries:
         if scores.ndim != 2 or scores.shape != (len(starts), len(names)):
             raise ModelIOError(f"score matrix shape {scores.shape} does not match "
                                f"{len(starts)} windows x {len(names)} features")
-        repeated = [name for i, name in enumerate(names) if name in names[:i]]
-        if repeated:
-            raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")
         back = np.flatnonzero(np.diff(starts) <= 0) + 1
         if back.size:
             raise ModelIOError(f"window starts must be strictly increasing: window "
@@ -169,6 +166,16 @@ class ScoreSeries:
     def write_csv(self, path: str) -> None:
         write_minute_csv(path, "window_start", self.window_starts,
                          self.feature_names, self.scores)
+
+
+def _feature_names(value) -> tuple[str, ...]:
+    """Stored feature names, each of which must appear once: a metric CSV
+    cannot repeat a column, so a repeated name is a fault of the file."""
+    names = tuple(value)
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")
+    return names
 
 
 def _window_steps(value) -> int:
@@ -362,8 +369,9 @@ def save_model(detector: Detector, path: str) -> None:
 
 def load_model(path: str) -> Detector:
     """Read a ``save_model`` file. Other format versions, a failed checksum,
-    a state that does not fit the architecture and a non-finite state entry
-    or normalization value are refused with ``ModelIOError``."""
+    a repeated feature name, a state that does not fit the architecture and
+    a non-finite state entry or normalization value are refused with
+    ``ModelIOError``."""
     payload = read_json(path, ModelIOError)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelIOError(f"{path} is not a model file")
@@ -378,7 +386,7 @@ def load_model(path: str) -> Detector:
     try:
         spec = parse_architecture(payload["architecture"])
         window_steps = _window_steps(payload["window_steps"])
-        names = tuple(payload["feature_names"])
+        names = _feature_names(payload["feature_names"])
         norm = GlobalNorm(
             names,
             np.array(decode_array(payload["normalization"]["mean"]), dtype=np.float64),

@@ -18,6 +18,18 @@ exception is the running statistics: a training forward pass of
 place. Those arrays and the parameters are what ``state()`` returns, and the
 optimizer and ``Network.set_state`` write them in place too, so a snapshot
 must copy them, as ``Network.get_state`` does.
+
+The temporal-norm pair expands its per-feature ``gamma``/``beta`` to a
+[T, F] block and its per-window moments to contiguous [batch, T, F] arrays
+before combining them with an activation. Broadcasting a [F] or [batch, 1, F]
+operand instead makes NumPy's inner loop run over only F elements per step,
+which costs about three times a same-shape operation. Each element still goes
+through the same float operations in the same order, so the results are
+bit-identical. Forward passes build each expanded moment in a buffer that
+becomes a result or takes memory an inference pass has freed, so scoring holds
+no more [batch, T, F] arrays at once than broadcasting does. The reverse
+layer's training forward and its backward hold one more for the length of the
+call, below the peak of a training step.
 """
 
 from __future__ import annotations
@@ -200,9 +212,14 @@ class ScaleShift(Layer):
     def grads(self):
         return {"gamma": self.d_gamma, "beta": self.d_beta}
 
-    def scale_shift(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """``gamma`` and ``beta`` in the dtype the layer computes in."""
-        return self.gamma.astype(dtype, copy=False), self.beta.astype(dtype, copy=False)
+    def scale_shift(self, dtype, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """``gamma`` and ``beta`` in the dtype the layer computes in, tiled to
+        [steps, F] blocks: a [batch, steps, F] activation times one runs an
+        inner loop of steps * F contiguous elements per window, not one of F
+        per step, with the same products. ``steps=1`` gives [1, F], which
+        broadcasts as [F] does."""
+        return (np.tile(self.gamma.astype(dtype, copy=False), (steps, 1)),
+                np.tile(self.beta.astype(dtype, copy=False), (steps, 1)))
 
 
 class TemporalNorm(ScaleShift):
@@ -234,14 +251,16 @@ class TemporalNorm(ScaleShift):
             raise ConfigError("temporal norm needs at least 2 time steps per window")
         steps = x.shape[1]
         mean = _sum("bf", x) / steps
-        norm = x - mean
+        norm = np.repeat(mean, steps, axis=1)
+        np.subtract(x, norm, out=norm)
         std = np.sqrt(_sum("bf", norm, norm) / steps)
         denom = std + self.EPSILON
-        norm /= denom
+        out = np.repeat(denom, steps, axis=1)
+        norm /= out
         if training:
             self._cache = (norm, std, denom, steps)
-        gamma, beta = self.scale_shift(x.dtype)
-        out = gamma * norm
+        gamma, beta = self.scale_shift(x.dtype, steps)
+        np.multiply(gamma, norm, out=out)
         out += beta
         return out, (mean, denom)
 
@@ -280,13 +299,18 @@ class TemporalNormReverse(ScaleShift):
 
     def forward(self, x, training=False):
         x, (mean, denom) = x
-        gamma, beta = self.scale_shift(x.dtype)
+        steps = x.shape[1]
+        gamma, beta = self.scale_shift(x.dtype, steps)
         scaled = gamma * x
         scaled += beta
+        out = np.repeat(denom, steps, axis=1)
+        out *= scaled
         if training:
             self._cache = (x, scaled, denom)
-        out = scaled * denom
-        out += mean
+        # Outside training nothing else holds ``scaled``, so the expanded
+        # mean can take its memory.
+        del scaled
+        out += np.repeat(mean, steps, axis=1)
         return out
 
     def backward(self, grad):
@@ -294,13 +318,16 @@ class TemporalNormReverse(ScaleShift):
             raise InternalError("temporal-norm reverse backward called before a "
                                 "training forward pass")
         x, scaled, denom = self._cache
+        steps = x.shape[1]
+        wide = np.repeat(denom, steps, axis=1)
         work = grad * x
-        work *= denom
+        work *= wide
         self.d_gamma = _sum("f", work)
-        np.multiply(grad, denom, out=work)
-        self.d_beta = _sum("f", work)
-        np.multiply(grad, self.gamma.astype(grad.dtype, copy=False), out=work)
-        work *= denom
+        gamma, _ = self.scale_shift(grad.dtype, steps)
+        np.multiply(grad, gamma, out=work)
+        work *= wide
+        wide *= grad
+        self.d_beta = _sum("f", wide)
         return work, (grad, scaled)
 
 
@@ -353,7 +380,7 @@ class BatchNorm(ScaleShift):
             mean = self.running_mean.astype(x.dtype, copy=False)
             denom = self.running_std.astype(x.dtype, copy=False) + self.EPSILON
             norm = (x - mean) / denom
-        gamma, beta = self.scale_shift(x.dtype)
+        gamma, beta = self.scale_shift(x.dtype, 1)
         return gamma * norm + beta
 
     def backward(self, grad):

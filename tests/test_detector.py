@@ -23,7 +23,9 @@ from dbdiag import (
     run_ablation,
     save_model,
     train,
+    write_metrics,
 )
+from dbdiag.cli import main
 from dbdiag.data import decode_array, encode_array
 from dbdiag.errors import ConfigError, DataError, ModelIOError
 
@@ -307,6 +309,19 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match=re.escape(
                 f"window_steps must be an integer, got {steps!r}")):
             load_model(path)
+
+    def test_repeated_feature_name_is_a_model_error(self, tmp_path, capsys):
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        assert doc["feature_names"] == ["cpu", "io"]
+        doc["feature_names"][1] = "cpu"
+        path = self.resealed(doc, tmp_path / "model.json")
+        with pytest.raises(ModelIOError, match="feature name 'cpu' appears more than once"):
+            load_model(path)
+        # scoring blames the model (4), not a CSV that matches the fixture (3)
+        write_metrics(str(tmp_path / "stats.csv"), fixture_frame())
+        assert main(["score", "--model", path, "--stats", str(tmp_path / "stats.csv"),
+                     "--out", str(tmp_path / "scores.json")]) == 4
+        assert "feature name 'cpu' appears more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", [b'"shape": [', b'"data": "', b'"dtype": "<f'])
     def test_an_edited_array_field_fails_the_integrity_check(self, tmp_path, target):

@@ -2,12 +2,19 @@
 
 import sys
 import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dbdiag import TABLE_ARCHITECTURES, build_network, parse_architecture
+from dbdiag import (
+    SELECTED_ARCHITECTURE,
+    TABLE_ARCHITECTURES,
+    build_network,
+    parse_architecture,
+)
 from dbdiag.errors import ConfigError, InternalError
 from dbdiag.nn import (
     Adam,
@@ -244,6 +251,37 @@ def test_concurrent_inference_on_a_shared_network(rng):
         assert np.array_equal(value, state[name]), name
 
 
+def _traced_peak(run, unit):
+    """The most memory NumPy and Python held at once while ``run()`` ran,
+    in multiples of ``unit`` bytes; what existed before it is not counted."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / unit
+    finally:
+        tracemalloc.stop()
+
+
+def test_selected_network_memory_stays_bounded(rng):
+    """The temporal-norm pair expands its moments into buffers that become
+    results or reuse freed memory, so neither scoring a chunk nor a training
+    step holds more at once than with broadcast moments. Each bound is the
+    peak measured with the broadcast layers; expanding the moments into
+    fresh temporaries raises the chunk's to 4.07."""
+    net = build_network(parse_architecture(SELECTED_ARCHITECTURE), 30, 6, rng)
+    chunk = rng.normal(size=(4096, 30, 6)).astype(np.float32)
+    # broadcast layers: 3.078 chunk sizes, in the reverse layer's forward
+    assert _traced_peak(lambda: net.forward(chunk), chunk.nbytes) <= 3.08
+    batch = rng.normal(size=(1500, 30, 6)).astype(np.float32)
+
+    def step():
+        out = net.forward(batch, training=True)
+        net.backward(out - batch, input_grad=False)
+
+    # broadcast layers: 10.847 batch sizes, in the first dense layer's backward
+    assert _traced_peak(step, batch.nbytes) <= 10.85
+
+
 def test_snapshot_is_isolated_from_later_training(rng):
     """Batch norm updates its running statistics and count in place, so a
     snapshot must not share them, and restoring it must write them back."""
@@ -306,8 +344,8 @@ def _ref_pair(x, y, grad_out, grad_mid, fwd, rev):
                 dx=dx, fwd_d_gamma=fwd_d_gamma, fwd_d_beta=fwd_d_beta)
 
 
-def _random_batch(rng):
-    return rng.normal(size=(64, 30, 6)) * 4.0 + 50.0
+def _random_batch(rng, dtype):
+    return (rng.normal(size=(64, 30, 6)) * 4.0 + 50.0).astype(dtype, copy=False)
 
 
 def _tiny_alternating(n):
@@ -317,43 +355,55 @@ def _tiny_alternating(n):
     return 1e-170 * (-1.0) ** np.arange(n)
 
 
-def _zero_std_series(rng):
+def _zero_std_series(rng, dtype):
     x = rng.normal(size=(5, 12, 4))
     x[2, :, 1] = 3.5
     x[3, :, 2] = _tiny_alternating(12)
-    return x
+    return x.astype(dtype, copy=False)
 
 
-def _window_view(rng):
-    frame = rng.normal(size=(300, 6)).cumsum(axis=0)
+def _window_view(rng, dtype):
+    frame = rng.normal(size=(300, 6)).cumsum(axis=0).astype(dtype, copy=False)
     windows = sliding_window_view(frame, 30, axis=0).swapaxes(1, 2)[::7]
     assert not windows.flags.c_contiguous
     return windows
 
 
-def _single_window_two_steps(rng):
-    return rng.normal(size=(1, 2, 3))
+def _single_window_two_steps(rng, dtype):
+    return rng.normal(size=(1, 2, 3)).astype(dtype, copy=False)
 
 
-def _single_feature(rng):
-    return rng.normal(size=(40, 50, 1)) * 2.0 - 7.0
+def _single_feature(rng, dtype):
+    return (rng.normal(size=(40, 50, 1)) * 2.0 - 7.0).astype(dtype, copy=False)
 
 
-@pytest.mark.parametrize("make_input", [
-    _random_batch, _zero_std_series, _window_view, _single_window_two_steps,
-    _single_feature])
-def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, rng):
-    x = make_input(rng)
+def _in_dtype(layer, dtype):
+    """The parameters ``_ref_pair`` reads, cast as the layer casts them."""
+    return SimpleNamespace(gamma=layer.gamma.astype(dtype), beta=layer.beta.astype(dtype),
+                           EPSILON=TemporalNorm.EPSILON)
+
+
+# float32 is the dtype training and scoring run in; _zero_std_series is left
+# out of it because its 1e-170 values underflow there.
+@pytest.mark.parametrize("make_input, dtype", [
+    *(pytest.param(make, np.float64, id=make.__name__)
+      for make in (_random_batch, _zero_std_series, _window_view,
+                   _single_window_two_steps, _single_feature)),
+    *(pytest.param(make, np.float32, id=f"{make.__name__}-float32")
+      for make in (_random_batch, _window_view, _single_window_two_steps,
+                   _single_feature))])
+def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, dtype, rng):
+    x = make_input(rng, dtype)
     batch, steps, feats = x.shape
     fwd = TemporalNorm(feats)
     rev = TemporalNormReverse(feats)
     for layer in (fwd, rev):
         layer.gamma[:] = rng.normal(1.0, 0.3, feats)
         layer.beta[:] = rng.normal(0.0, 0.3, feats)
-    y = rng.normal(size=x.shape)
-    grad_out = rng.normal(size=x.shape)
-    grad_mid = rng.normal(size=x.shape)
-    ref = _ref_pair(x, y, grad_out, grad_mid, fwd, rev)
+    y = rng.normal(size=x.shape).astype(dtype, copy=False)
+    grad_out = rng.normal(size=x.shape).astype(dtype, copy=False)
+    grad_mid = rng.normal(size=x.shape).astype(dtype, copy=False)
+    ref = _ref_pair(x, y, grad_out, grad_mid, _in_dtype(fwd, dtype), _in_dtype(rev, dtype))
 
     out, (mean, denom) = fwd.forward(x, training=True)
     restored = rev.forward((y, (mean, denom)), training=True)
@@ -367,6 +417,7 @@ def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, rng):
                rev_d_gamma=rev.d_gamma, rev_d_beta=rev.d_beta,
                dx=dx, fwd_d_gamma=fwd.d_gamma, fwd_d_beta=fwd.d_beta)
     for name, want in ref.items():
+        assert got[name].dtype == dtype, name
         assert np.array_equal(got[name], want), name
 
     fwd.d_gamma = fwd.d_beta = None
