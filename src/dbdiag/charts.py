@@ -3,7 +3,16 @@
 Charts are emitted as plain SVG strings built from the data alone, with all
 coordinates rounded to two decimals, so the same inputs always produce the
 same bytes. That keeps full reports byte-reproducible, which matters because
-report integrity is checked by digest.
+report integrity is checked by digest. Titles and legends are XML-escaped,
+so any metric name gives well-formed SVG.
+
+Polyline points are written by one NumPy pass (``_points``) that gives the
+same text as ``"{:.2f}".format`` for every value. For 0 <= v < 1000 the
+product ``t = v * 100.0`` is within 2**-36 of the exact 100·v, so whenever
+t is more than 1e-6 away from a half-integer, ``rint(t)`` is the correctly
+rounded hundredth that ``format(v, ".2f")`` prints. Every other value (sign
+bit set, -0.0 included; NaN or inf; ``rint(t) >= 100000``; near-ties) is
+formatted by ``"{:.2f}".format`` itself.
 """
 
 from __future__ import annotations
@@ -28,6 +37,12 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape`` writes
+    it; importing that module would load urllib, http and ssl for one line."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _scale(values_min: float, values_max: float, lo: float, hi: float):
     span = values_max - values_min
     if span == 0.0:
@@ -40,10 +55,41 @@ def _scale(values_min: float, values_max: float, lo: float, hi: float):
     return to_px
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """``"x,y x,y ..."`` with every value as ``"{:.2f}".format`` writes it."""
+    v = np.empty(2 * len(xs))
+    v[0::2], v[1::2] = xs, ys
+    with np.errstate(all="ignore"):   # inf and NaN take the slow path below
+        t = v * 100.0
+        c = np.rint(t)
+        slow = (np.signbit(v) | ~(c < 100000.0)
+                | (np.abs(t - np.floor(t) - 0.5) <= 1e-6))
+    c[slow] = 0.0
+    hundredths = c.astype(np.int64)
+    buf = np.empty((v.size, 7), np.uint8)     # ddd.dd and a separator
+    for col, unit in ((0, 10000), (1, 1000), (2, 100), (4, 10), (5, 1)):
+        buf[:, col] = hundredths // unit % 10 + ord("0")
+    buf[:, 3] = ord(".")
+    buf[0::2, 6], buf[1::2, 6] = ord(","), ord(" ")
+    keep = np.ones(buf.shape, dtype=bool)
+    keep[:, 0] = hundredths >= 10000          # no leading zeros
+    keep[:, 1] = hundredths >= 1000
+    keep[slow, :6] = False                    # a slow value keeps its separator
+    text = buf[keep].tobytes().decode("ascii")
+    if slow.any():
+        lengths = keep.sum(axis=1)
+        starts = (np.cumsum(lengths) - lengths).tolist()
+        pieces, done = [], 0
+        for i in np.flatnonzero(slow).tolist():
+            pieces += [text[done:starts[i]], "{:.2f}".format(float(v[i]))]
+            done = starts[i]
+        text = "".join(pieces) + text[done:]
+    return text[:-1]
+
+
 def _polyline(xs: np.ndarray, ys: np.ndarray, color: str, width: float = 1.5) -> str:
-    pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f' points="{pts}"/>')
+            f' points="{_points(xs, ys)}"/>')
 
 
 def _hline(y: float, color: str, label: str, dash: str | None = None) -> str:
@@ -59,7 +105,7 @@ def _frame(title: str) -> tuple[str, str]:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>'
             f'<text x="{MARGIN_LEFT}" y="18" font-size="13" font-family="sans-serif" '
-            f'fill="#111827">{title}</text>')
+            f'fill="#111827">{_escape(title)}</text>')
     return head, "</svg>"
 
 
@@ -122,7 +168,7 @@ def overlay_svg(title: str, minutes: np.ndarray,
         width = 2.0 if i == 0 else 1.2
         parts.append(_polyline(xs, to_y(series), color, width))
         parts.append(f'<text x="{MARGIN_LEFT + 6}" y="{legend_y + 12 * i}" '
-                     f'font-size="10" fill="{color}">{name}</text>')
+                     f'font-size="10" fill="{color}">{_escape(name)}</text>')
     parts.append(_footer(minutes[0], minutes[-1]))
     parts.append(tail)
     return "".join(parts)

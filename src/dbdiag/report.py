@@ -57,6 +57,17 @@ def _frame_summary(frame: MetricFrame) -> dict:
     }
 
 
+def chart_file_name(feature: str) -> str:
+    """``chart_<feature>.svg`` with ``%``, ``/`` and NUL percent-encoded.
+
+    ``/`` and NUL are the two characters a POSIX file name cannot hold, and
+    ``%`` is encoded first so that no two feature names share a file.
+    """
+    for char, code in (("%", "%25"), ("/", "%2F"), ("\0", "%00")):
+        feature = feature.replace(char, code)
+    return f"chart_{feature}.svg"
+
+
 def build_report(scores: ScoreSeries, stat_frame: MetricFrame,
                  event_frame: MetricFrame | None, model_info: dict,
                  config: ReportConfig | None = None) -> tuple[dict, dict[str, str]]:
@@ -75,7 +86,7 @@ def build_report(scores: ScoreSeries, stat_frame: MetricFrame,
     for j, name in enumerate(scores.feature_names):
         chart = result.charts[name]
         flagged = result.flagged[name]
-        fname = f"chart_{name}.svg"
+        fname = chart_file_name(name)
         charts[fname] = control_chart_svg(scores.scores[:, j], scores.window_starts,
                                           chart, flagged)
         chart_meta[name] = {**chart.to_dict(), "flagged_windows": int(flagged.size),
@@ -170,20 +181,24 @@ def render_text(report: dict) -> str:
 
 
 def write_report(out_dir: str, report: dict, charts: dict[str, str]) -> list[str]:
-    """Write report.json, report.txt and charts/; returns the paths written."""
+    """Write report.txt, charts/ and report.json; returns the paths written.
+
+    report.json goes last, so a write cut short never leaves a manifest that
+    names charts which are not on disk.
+    """
     os.makedirs(os.path.join(out_dir, "charts"), exist_ok=True)
     written = []
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "wb") as fh:
-        fh.write(report_to_json_bytes(report))
-    written.append(path)
     path = os.path.join(out_dir, "report.txt")
     with open(path, "w") as fh:
         fh.write(render_text(report))
     written.append(path)
     for name in sorted(charts):
         path = os.path.join(out_dir, "charts", name)
-        with open(path, "w") as fh:
-            fh.write(charts[name])
+        with open(path, "wb") as fh:   # the bytes the manifest digests
+            fh.write(charts[name].encode())
         written.append(path)
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "wb") as fh:
+        fh.write(report_to_json_bytes(report))
+    written.append(path)
     return written

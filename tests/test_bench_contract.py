@@ -2,13 +2,15 @@
 
 ``perfbench/spans.py`` times dbdiag by replacing module attributes, class
 methods and layer methods by name from outside ``src/``. Running its
-``instrument`` around a tiny fit here makes a renamed entry point fail in
-the test suite, not only when the benchmark runs. The benchmark's fit check
-and its "perturbed output bias" gate rest on two facts about a saved model,
-checked here on a small fit: it re-scores the test windows bit for bit, and
-a 1e-9 change to its output bias changes that re-score.
+``instrument`` around a tiny fit and a tiny diagnosis here makes a renamed
+entry point fail in the test suite, not only when the benchmark runs. The
+benchmark's fit check and its "perturbed output bias" gate rest on two facts
+about a saved model, checked here on a small fit: it re-scores the test
+windows bit for bit, and a 1e-9 change to its output bias changes that
+re-score.
 """
 
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,30 +26,58 @@ finally:
     sys.path.pop(0)
 
 
-def test_spans_cover_a_fit_and_restore_every_attribute():
-    frame = generate(default_scenario(seed=3, duration_minutes=600)).stats
-    owners = (data, detector, report, similarity, detector.Detector, detector.Adam)
-    before = [dict(vars(owner)) for owner in owners]
+OWNERS = (data, detector, report, similarity, detector.Detector, detector.Adam)
+TINY = TrainConfig(architecture="BTN-(8)-(4)-(8*)-BTN*", max_epochs=1, batch_size=64)
+
+
+def traced(run):
+    """``run()`` under ``instrument``; returns its result, the span names and
+    the counts, once every patched attribute is back."""
+    before = [dict(vars(owner)) for owner in OWNERS]
     tracer = Tracer()
     restore = instrument(tracer)
     try:
         tracer.begin(0)
-        result = detector.train(frame, TrainConfig(architecture="BTN-(8)-(4)-(8*)-BTN*",
-                                                   max_epochs=1, batch_size=64))
+        result = run()
         counts = tracer.end()
     finally:
         restore()
+    after = [dict(vars(owner)) for owner in OWNERS]
+    for owner, old, new in zip(OWNERS, before, after):
+        assert old.keys() == new.keys(), owner
+        changed = [key for key in old if old[key] is not new[key]]
+        assert changed == [], owner
+    return result, {span[0] for span in tracer.spans}, counts
+
+
+def test_spans_cover_a_fit_and_restore_every_attribute():
+    frame = generate(default_scenario(seed=3, duration_minutes=600)).stats
+    result, names, counts = traced(lambda: detector.train(frame, TINY))
     assert result.epochs_run == 1
-    names = {span[0] for span in tracer.spans}
     for kind in ("btn", "btn_reverse", "dense", "relu"):
         assert {f"nn.{kind}.fwd", f"nn.{kind}.bwd"} <= names, kind
     assert {"nn.adam.step", "detector.train", "data.make_windows", "nn.infer.fwd"} <= names
     assert counts["nn.adam.steps"] == counts["detector.batches"] > 0
-    after = [dict(vars(owner)) for owner in owners]
-    for owner, old, new in zip(owners, before, after):
-        assert old.keys() == new.keys(), owner
-        changed = [key for key in old if old[key] is not new[key]]
-        assert changed == [], owner
+
+
+def test_spans_cover_a_diagnosis_and_count_the_chart_bytes(tmp_path):
+    scenario = generate(default_scenario(seed=3, duration_minutes=600))
+    model = detector.train(scenario.stats, TINY).detector
+    out = str(tmp_path / "report")
+
+    def diagnose():
+        scores = model.score_frame(scenario.stats)
+        body, charts = report.build_report(scores, scenario.stats, scenario.events, {},
+                                           report.ReportConfig(sigma_k=2.0))
+        return report.write_report(out, body, charts)
+
+    written, names, counts = traced(diagnose)
+    assert {"detector.score_frame", "report.build_report", "charts.control_chart_svg",
+            "charts.overlay_svg", "similarity.dtw", "report.write_report"} <= names
+    svgs = [path for path in written if path.endswith(".svg")]
+    assert any(os.path.basename(path).startswith("overlay_") for path in svgs)
+    assert counts["charts.svg_bytes"] == sum(os.path.getsize(path) for path in svgs)
+    assert counts["report.bytes_written"] == sum(os.path.getsize(path) for path in written)
 
 
 def test_a_saved_model_rescores_bit_for_bit_and_sees_a_tiny_bias_change(tmp_path):

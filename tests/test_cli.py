@@ -2,6 +2,7 @@
 
 import csv
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -409,6 +410,26 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "report.txt"))
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["model"]["architecture"] == "BTN-(16)-(6)-(16*)-BTN*"
+
+    def test_report_writes_charts_of_names_with_slash_and_nul(self, pipeline, tmp_path):
+        """A header that cannot be a file name as it is still gives a full
+        report: chart names are percent-encoded and the manifest holds."""
+        head, body = open(pipeline["stats"]).read().split("\n", 1)
+        names = head.split(",")
+        names[1:3] = ["cpu/used", "a\0b"]
+        stats = tmp_path / "stats.csv"
+        stats.write_text(",".join(names) + "\n" + body)
+        model, out = str(tmp_path / "model.json"), str(tmp_path / "report")
+        assert main(["train", "--stats", str(stats), "--model", model,
+                     "--architecture", "BTN-(8)-(4)-(8*)-BTN*", "--epochs", "1",
+                     "--batch-size", "256"]) == 0
+        assert main(["report", "--model", model, "--stats", str(stats),
+                     "--events", pipeline["events"], "--out-dir", out, "--quiet"]) == 0
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        assert {"chart_cpu%2Fused.svg", "chart_a%00b.svg"} <= set(doc["manifest"])
+        for name, digest in doc["manifest"].items():
+            with open(os.path.join(out, "charts", name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
     def test_report_periods_match_the_stagewise_path(self, pipeline, tmp_path):
         """One-shot report and score->detect stages must agree on periods."""

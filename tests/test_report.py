@@ -4,15 +4,36 @@ import dataclasses
 import hashlib
 import json
 import os
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
-from dbdiag import ReportConfig, build_report, render_text, write_report
+from dbdiag import ReportConfig, build_report, charts, render_text, write_report
 from dbdiag.charts import control_chart_svg, overlay_svg
 from dbdiag.errors import ConfigError
-from dbdiag.report import report_to_json_bytes
+from dbdiag.report import chart_file_name, report_to_json_bytes
 from dbdiag.spc import fit_chart
+
+# values where a fast formatting path could go wrong: signs, -0.0, ties,
+# rounding up to four integer digits, huge, subnormal and non-finite values
+ADVERSARIAL = [-0.0, 0.0, -3.2, -0.004, 0.005, 0.015, 0.125, 0.375, 9.995,
+               99.995, 999.994999, 999.995, 1000.0, 12345.678, 1e300, 1e308,
+               -1e308, 5e-324, float("nan"), float("inf"), float("-inf")]
+
+
+def oracle_points(xs, ys):
+    """The row-by-row point formatting that ``charts._points`` replaced."""
+    return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+
+
+def fixed_chart_inputs():
+    """A 300-window score series built from exact arithmetic only."""
+    i = np.arange(300)
+    scores = (i * 37 % 101) / 16.0 + np.where(i % 97 == 5, 20.0, 0.0)
+    chart = fit_chart(scores, "cpu_used")
+    return scores, 28_000_000 + i, chart, np.flatnonzero(scores > chart.ucl)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +73,80 @@ class TestCharts:
                           [("sessions", rng.normal(size=60)),
                            ("log_file_sync", rng.normal(size=60))])
         assert "sessions" in svg and "log_file_sync" in svg
+
+
+class TestPoints:
+    def test_adversarial_values_match_the_oracle(self):
+        values = np.array(ADVERSARIAL)
+        assert charts._points(values, values[::-1]) == oracle_points(values, values[::-1])
+        for v in ADVERSARIAL:
+            point = np.array([v])
+            assert charts._points(point, point) == oracle_points(point, point), v
+
+    def test_one_point_and_none(self):
+        assert charts._points(np.array([64.0]), np.array([1.005])) == "64.00,1.00"
+        assert charts._points(np.array([]), np.array([])) == ""
+
+    def test_random_values_and_every_tie_below_999(self):
+        values = np.random.default_rng(5).uniform(0.0, 999.0, 300_000)
+        fives = np.arange(199_800) * 0.005        # every multiple of 0.005
+        eighths = np.arange(7_992) * 0.125        # exact binary ties
+        for v in (values, fives, eighths, -fives):
+            assert charts._points(v[0::2], v[1::2]) == oracle_points(v[0::2], v[1::2])
+
+    def test_full_charts_match_the_oracle(self, monkeypatch, rng):
+        scores, starts, chart, flagged = fixed_chart_inputs()
+        series = [("cpu_used", scores[:120]), ("log_file_sync", rng.normal(size=120)),
+                  ("flat", np.zeros(120))]
+        fast = (control_chart_svg(scores, starts, chart, flagged),
+                overlay_svg("period 1", starts[:120], series))
+        monkeypatch.setattr(charts, "_points", oracle_points)
+        slow = (control_chart_svg(scores, starts, chart, flagged),
+                overlay_svg("period 1", starts[:120], series))
+        assert fast == slow
+
+    def test_pinned_chart_digest(self):
+        svg = control_chart_svg(*fixed_chart_inputs())
+        assert svg.count("<circle") == 4
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "d8e636b8e21fe54e5594771fffb31a00c0cf3b20a3a2d257626e4063d03c8f89")
+
+
+class TestChartNames:
+    def test_plain_names_keep_their_file_names(self):
+        assert chart_file_name("cpu_used") == "chart_cpu_used.svg"
+        assert chart_file_name("cpu&io") == "chart_cpu&io.svg"
+
+    def test_slash_nul_and_percent_are_encoded(self):
+        assert chart_file_name("cpu/used") == "chart_cpu%2Fused.svg"
+        assert chart_file_name("a\0b") == "chart_a%00b.svg"
+        assert chart_file_name("50%") == "chart_50%25.svg"
+
+    def test_no_two_names_share_a_file(self):
+        names = ["a/b", "a%2Fb", "a%b", "a%25b", "a\0b", "a%00b", "a%2F", "a/"]
+        assert len({chart_file_name(n) for n in names}) == len(names)
+
+    def test_chart_text_is_escaped_as_saxutils_does(self):
+        for text in ("cpu_used", "cpu&io", "a<b>", "&amp;", "<&>>&<", ""):
+            assert charts._escape(text) == escape(text), text
+
+    def test_charts_of_odd_names_are_well_formed_xml(self, built):
+        scenario, scores, model_info, *_ = built
+        odd = {scores.feature_names[0]: "cpu&io", scores.feature_names[1]: "a<b>"}
+        names = tuple(odd.get(n, n) for n in scores.feature_names)
+        stats = dataclasses.replace(
+            scenario.stats,
+            metric_names=tuple(odd.get(n, n) for n in scenario.stats.metric_names))
+        events = dataclasses.replace(
+            scenario.events, metric_names=("x&y",) + scenario.events.metric_names[1:])
+        report, svgs = build_report(dataclasses.replace(scores, feature_names=names),
+                                    stats, events, model_info, ReportConfig(sigma_k=2.0))
+        assert {"chart_cpu&io.svg", "chart_a<b>.svg"} <= set(svgs)
+        assert any(name.startswith("overlay_") for name in svgs)
+        titles = {name: ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text").text
+                  for name, svg in svgs.items()}
+        assert titles["chart_cpu&io.svg"].startswith("cpu&io reconstruction score")
+        assert titles["chart_a<b>.svg"].startswith("a<b> reconstruction score")
 
 
 class TestBuildReport:
@@ -150,3 +245,11 @@ class TestRenderAndWrite:
         assert all(os.path.exists(p) for p in written)
         on_disk = json.loads(open(os.path.join(out, "report.json")).read())
         assert on_disk["format"] == "dbdiag-report"
+        assert os.path.relpath(written[-1], out) == "report.json"
+
+    def test_a_failed_chart_write_leaves_no_manifest(self, built, tmp_path):
+        *_, report, svgs = built
+        out = str(tmp_path / "report")
+        with pytest.raises(FileNotFoundError):
+            write_report(out, report, {**svgs, "missing/dir.svg": "<svg/>"})
+        assert not os.path.exists(os.path.join(out, "report.json"))
