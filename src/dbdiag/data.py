@@ -17,6 +17,7 @@ import base64
 import csv
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,6 +33,10 @@ FIRST_MINUTE = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp() // 60)
 LAST_MINUTE = int(datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc).timestamp() // 60)
 _TIMEZONE_WARNING = "no explicit representation of timezones"
 _NO_DATA_WARNING = "loadtxt: input contained no data"
+# What XML 1.0 cannot hold, even as a character reference: the C0 controls
+# other than tab, LF and CR, and U+FFFE and U+FFFF. Metric names become chart
+# text, so no name may hold one.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 @dataclass
@@ -159,6 +164,12 @@ def _timestamp_error(message: str, text: str, row: int | None) -> DataError:
     return DataError(message.format(f"{str(text)!r}{where}"))
 
 
+def not_xml_name(names) -> str | None:
+    """The first of ``names`` that holds a character XML 1.0 cannot hold, or
+    None."""
+    return next((name for name in names if _NOT_XML.search(name)), None)
+
+
 def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     """Read a metric CSV. Header: ``timestamp,<name>,...``; body rows carry
     a timestamp (see ``stamps_to_minutes``) plus one numeric value per metric.
@@ -189,6 +200,10 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
             raise DataError(f"{path}: no metric columns")
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate metric names in header")
+        bad = not_xml_name(names)
+        if bad is not None:
+            raise DataError(f"{path}: metric column {bad!r} holds a character "
+                            f"that XML, and so a chart, cannot hold")
         body = np.dtype([("stamp", object), ("values", np.float64, (len(names),))])
         try:
             with warnings.catch_warnings():

@@ -28,6 +28,7 @@ from .data import (
     json_checksum,
     make_windows,
     minutes_to_iso,
+    not_xml_name,
     read_json,
     split_windows,
     stamps_to_minutes,
@@ -36,6 +37,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, InternalError, ModelIOError, TrainingError
 from .nn import Adam, Network, squared_error
+from .nn.layers import _sum
 
 MODEL_FORMAT = "dbdiag-model"
 MODEL_FORMAT_VERSION = 2
@@ -169,12 +171,17 @@ class ScoreSeries:
 
 
 def _feature_names(value) -> tuple[str, ...]:
-    """Stored feature names, each of which must appear once: a metric CSV
-    cannot repeat a column, so a repeated name is a fault of the file."""
+    """Stored feature names, each of which must appear once and hold only
+    characters XML can hold: ``load_metrics`` refuses a CSV that breaks
+    either rule, so such a name is a fault of the file."""
     names = tuple(value)
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")
+    bad = not_xml_name(names)
+    if bad is not None:
+        raise ModelIOError(f"feature name {bad!r} holds a character that XML "
+                           f"cannot hold")
     return names
 
 
@@ -191,15 +198,19 @@ def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
     """[n, T, F] normalized windows -> [n, F] time-averaged squared errors.
 
     The network runs in float32, as in training, whatever dtype the caller's
-    windows have; the time mean accumulates in float64.
+    windows have; the time mean sums a float64 copy of the squared errors,
+    which gives the bits of ``mean(axis=1, dtype=np.float64)`` faster.
     """
+    steps = windows.shape[1]
     parts = []
     for start in range(0, windows.shape[0], _SCORE_CHUNK):
         # windows may be an overlapping view, which BLAS cannot take
         chunk = np.ascontiguousarray(windows[start:start + _SCORE_CHUNK], dtype=np.float32)
-        recon = network.forward(chunk, training=False)
-        resid = recon - chunk
-        parts.append((resid * resid).mean(axis=1, dtype=np.float64))
+        # an inference pass caches nothing, so its output buffer is ours
+        resid = network.forward(chunk, training=False)
+        resid -= chunk
+        resid *= resid
+        parts.append(_sum("bf", resid.astype(np.float64))[:, 0, :] / steps)
     return np.concatenate(parts, axis=0)
 
 

@@ -169,21 +169,22 @@ def _sum(out, *operands):
     return total[:, None, :] if out == "bf" else total
 
 
-def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std, count, axes):
+def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std, count, out):
     """Input gradient of z-normalization given the upstream grad wrt the
     scaled output ``gamma * norm + beta`` plus any external grads wrt the
-    moments.
+    moments, for [batch, T, F] arrays.
 
     ``denom = std + eps`` divides the centered values, ``count`` is the number
-    of elements each (mean, std) pair was computed over, ``axes`` the reduced
-    axes (1 for the temporal norm's time axis). The std path is zero where
+    of elements each (mean, std) pair was computed over, ``out`` the ``_sum``
+    form of the moments ("bf" for the temporal norm's per-window moments, "f"
+    for batch norm's per-feature ones). The std path is zero where
     std == 0 (constant slices normalize to an exact constant, so the
     one-sided derivative drops that term's factor). Training never calls it
     for a temporal norm, which is always the first layer.
     """
     d_norm = grad * gamma
-    d_mean = d_mean - d_norm.sum(axis=axes, keepdims=True) / denom
-    d_std = d_std - (d_norm * norm).sum(axis=axes, keepdims=True) / denom
+    d_mean = d_mean - _sum(out, d_norm) / denom
+    d_std = d_std - _sum(out, d_norm, norm) / denom
     positive = std > 0.0
     dstd_dx = norm * denom
     dstd_dx /= count * np.where(positive, std, 1.0)
@@ -278,7 +279,7 @@ class TemporalNorm(ScaleShift):
         d_denom = _sum("bf", out_grad, scaled)
         gamma = self.gamma.astype(grad.dtype, copy=False)
         return _moment_backward(grad, gamma, norm, denom, std, d_mean, d_denom,
-                                steps, axes=1)
+                                steps, "bf")
 
 
 class TemporalNormReverse(ScaleShift):
@@ -335,7 +336,11 @@ class BatchNorm(ScaleShift):
     """Batch normalization over every axis except the last (feature) axis.
 
     On [batch, T, F] input the moments pool batches and time steps together;
-    on flat [batch, D] activations they pool the batch. Training mode uses
+    on flat [batch, D] activations they pool the batch, which the layer sums
+    through a [batch, 1, D] view. The sums go through ``_sum`` and the
+    variance follows NumPy's ``var``: centre, square, sum, divide, so the
+    moments and gradients equal those of ``x.mean``, ``x.std`` and ``sum``
+    bit for bit. Training mode uses
     batch statistics and updates the running stats in place with an
     exponential moving average; inference uses the running stats and refuses
     to run before the first training update. ``label`` is ``bn_reverse`` for
@@ -357,22 +362,25 @@ class BatchNorm(ScaleShift):
         return self.gamma.shape[0]
 
     def forward(self, x, training=False):
-        if x.shape[-1] != self.width:
+        if x.ndim not in (2, 3) or x.shape[-1] != self.width:
             raise ConfigError(
-                f"batch norm expects feature width {self.width}, got shape {x.shape}")
-        axes = tuple(range(x.ndim - 1))
+                f"batch norm expects [batch, {self.width}] or [batch, T, {self.width}], "
+                f"got {x.shape}")
         if training:
-            mean = x.mean(axis=axes)
-            std = x.std(axis=axes)
+            x3 = x.reshape(x.shape[0], -1, self.width)
+            count = x3.shape[0] * x3.shape[1]
+            mean = _sum("f", x3) / count
+            centred = x3 - mean
+            std = np.sqrt(_sum("f", centred, centred) / count)
             self.running_mean *= 1.0 - self.MOMENTUM
             self.running_mean += self.MOMENTUM * mean
             self.running_std *= 1.0 - self.MOMENTUM
             self.running_std += self.MOMENTUM * std
             self.updates += 1
             denom = std + self.EPSILON
-            norm = (x - mean) / denom
-            count = x.size // self.width
-            self._cache = (norm, std, denom, count, axes)
+            norm = centred / denom
+            self._cache = (norm, std, denom, count)
+            norm = norm.reshape(x.shape)
         else:
             if self.updates == 0:
                 raise ConfigError("batch norm has no running statistics yet; "
@@ -386,12 +394,13 @@ class BatchNorm(ScaleShift):
     def backward(self, grad):
         if self._cache is None:
             raise InternalError("batch norm backward called before a training forward pass")
-        norm, std, denom, count, axes = self._cache
-        self.d_gamma = (grad * norm).sum(axis=axes)
-        self.d_beta = grad.sum(axis=axes)
+        norm, std, denom, count = self._cache
+        grad3 = grad.reshape(norm.shape)
+        self.d_gamma = _sum("f", grad3, norm)
+        self.d_beta = _sum("f", grad3)
         gamma = self.gamma.astype(grad.dtype, copy=False)
-        return _moment_backward(grad, gamma, norm, denom, std, 0.0, 0.0, count,
-                                axes=axes)
+        return _moment_backward(grad3, gamma, norm, denom, std, 0.0, 0.0, count,
+                                "f").reshape(grad.shape)
 
     def state(self):
         return {**self.params(), "running_mean": self.running_mean,

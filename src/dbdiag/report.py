@@ -10,6 +10,7 @@ bytes; the embedded model digest plus that property make reports auditable.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -58,12 +59,13 @@ def _frame_summary(frame: MetricFrame) -> dict:
 
 
 def chart_file_name(feature: str) -> str:
-    """``chart_<feature>.svg`` with ``%``, ``/`` and NUL percent-encoded.
+    """``chart_<feature>.svg`` with ``%`` and ``/`` percent-encoded.
 
-    ``/`` and NUL are the two characters a POSIX file name cannot hold, and
-    ``%`` is encoded first so that no two feature names share a file.
+    ``/`` is the one character of a metric name that a POSIX file name
+    cannot hold (``load_metrics`` refuses NUL), and ``%`` is encoded first so
+    that no two feature names share a file.
     """
-    for char, code in (("%", "%25"), ("/", "%2F"), ("\0", "%00")):
+    for char, code in (("%", "%25"), ("/", "%2F")):
         feature = feature.replace(char, code)
     return f"chart_{feature}.svg"
 
@@ -183,22 +185,53 @@ def render_text(report: dict) -> str:
 def write_report(out_dir: str, report: dict, charts: dict[str, str]) -> list[str]:
     """Write report.txt, charts/ and report.json; returns the paths written.
 
-    report.json goes last, so a write cut short never leaves a manifest that
-    names charts which are not on disk.
+    A directory that holds an earlier report is reused: the chart files its
+    report.json manifest names are removed first, so ``charts/`` ends holding
+    exactly the new manifest's charts. A ``charts/`` that holds any file no
+    such manifest names is refused with ``ConfigError``, before anything is
+    removed. report.json goes last, and an old one goes before its charts,
+    so a write cut short never leaves a manifest that names charts which are
+    not on disk.
     """
-    os.makedirs(os.path.join(out_dir, "charts"), exist_ok=True)
+    chart_dir = os.path.join(out_dir, "charts")
+    json_path = os.path.join(out_dir, "report.json")
+    try:
+        present = set(os.listdir(chart_dir))
+    except FileNotFoundError:
+        present = set()
+    if present:
+        old = _manifest_names(json_path)
+        other = sorted(present - old)
+        if other:
+            raise ConfigError(f"{chart_dir} holds {other[0]!r}, which no report.json "
+                              f"there names; write the report to an empty or new "
+                              f"directory")
+        os.remove(json_path)
+        for name in present:
+            os.remove(os.path.join(chart_dir, name))
+    os.makedirs(chart_dir, exist_ok=True)
     written = []
     path = os.path.join(out_dir, "report.txt")
     with open(path, "w") as fh:
         fh.write(render_text(report))
     written.append(path)
     for name in sorted(charts):
-        path = os.path.join(out_dir, "charts", name)
+        path = os.path.join(chart_dir, name)
         with open(path, "wb") as fh:   # the bytes the manifest digests
             fh.write(charts[name].encode())
         written.append(path)
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "wb") as fh:
+    with open(json_path, "wb") as fh:
         fh.write(report_to_json_bytes(report))
-    written.append(path)
+    written.append(json_path)
     return written
+
+
+def _manifest_names(path: str) -> set[str]:
+    """The chart names in the manifest of the report.json at ``path``; none
+    when it is missing or is not a report."""
+    try:
+        with open(path, "rb") as fh:
+            manifest = json.load(fh).get("manifest")
+    except (OSError, ValueError, AttributeError):
+        return set()
+    return set(manifest) if isinstance(manifest, dict) else set()

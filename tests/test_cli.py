@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -146,8 +147,11 @@ class TestExitCodes:
          "window_steps must be an integer, got True"),
         (lambda doc: doc["feature_names"].__setitem__(1, doc["feature_names"][0]),
          "feature name 'cpu_used' appears more than once"),
+        (lambda doc: doc["feature_names"].__setitem__(1, "a\x01b"),
+         "feature name 'a\\x01b' holds a character that XML cannot hold"),
     ], ids=["reversed_starts", "one_step_windows", "fractional_window_steps",
-            "string_window_steps", "boolean_window_steps", "repeated_feature_name"])
+            "string_window_steps", "boolean_window_steps", "repeated_feature_name",
+            "control_character_in_name"])
     def test_malformed_scores_are_model_errors(self, pipeline, tmp_path, capsys,
                                                edit, message):
         scores = tmp_path / "scores.json"
@@ -411,12 +415,13 @@ class TestPipeline:
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["model"]["architecture"] == "BTN-(16)-(6)-(16*)-BTN*"
 
-    def test_report_writes_charts_of_names_with_slash_and_nul(self, pipeline, tmp_path):
-        """A header that cannot be a file name as it is still gives a full
-        report: chart names are percent-encoded and the manifest holds."""
+    def test_report_charts_of_odd_names_are_on_disk_and_parse(self, pipeline, tmp_path):
+        """A header that cannot be a file name or XML text as it is still gives
+        a full report: chart names are percent-encoded, chart text escaped,
+        every chart parses and the manifest holds."""
         head, body = open(pipeline["stats"]).read().split("\n", 1)
         names = head.split(",")
-        names[1:3] = ["cpu/used", "a\0b"]
+        names[1:5] = ["cpu/used", "50%", "cpu&io", "a<b>"]
         stats = tmp_path / "stats.csv"
         stats.write_text(",".join(names) + "\n" + body)
         model, out = str(tmp_path / "model.json"), str(tmp_path / "report")
@@ -424,12 +429,68 @@ class TestPipeline:
                      "--architecture", "BTN-(8)-(4)-(8*)-BTN*", "--epochs", "1",
                      "--batch-size", "256"]) == 0
         assert main(["report", "--model", model, "--stats", str(stats),
-                     "--events", pipeline["events"], "--out-dir", out, "--quiet"]) == 0
+                     "--events", pipeline["events"], "--out-dir", out, "--quiet",
+                     "--sigma", "1"]) == 0
         doc = json.loads(open(os.path.join(out, "report.json")).read())
-        assert {"chart_cpu%2Fused.svg", "chart_a%00b.svg"} <= set(doc["manifest"])
+        assert {"chart_cpu%2Fused.svg", "chart_50%25.svg", "chart_cpu&io.svg",
+                "chart_a<b>.svg"} <= set(doc["manifest"])
+        assert any(name.startswith("overlay_") for name in doc["manifest"])
+        for name, digest in doc["manifest"].items():
+            path = os.path.join(out, "charts", name)
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+            ElementTree.parse(path)
+
+    @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\ufffeb", "a\uffffb"])
+    def test_a_name_xml_cannot_hold_is_a_data_error(self, pipeline, tmp_path, capsys,
+                                                   name):
+        head, body = open(pipeline["stats"]).read().split("\n", 1)
+        names = head.split(",")
+        names[1] = name
+        stats = tmp_path / "stats.csv"
+        stats.write_text(",".join(names) + "\n" + body, encoding="utf-8")
+        assert main(["score", "--model", pipeline["model"], "--stats", str(stats),
+                     "--out", str(tmp_path / "scores.json")]) == 3
+        assert f"metric column {name!r}" in capsys.readouterr().err
+
+    def test_a_reused_report_directory_holds_exactly_its_manifest(self, pipeline,
+                                                                  tmp_path):
+        """A report written over an earlier one with more charts leaves only
+        the new manifest's charts, as a fresh directory would hold."""
+        out, fresh = str(tmp_path / "report"), str(tmp_path / "fresh")
+        argv = ["report", "--model", pipeline["model"], "--stats", pipeline["stats"],
+                "--events", pipeline["events"], "--quiet"]
+        assert main([*argv, "--out-dir", out, "--sigma", "2"]) == 0
+        before = set(os.listdir(os.path.join(out, "charts")))
+        assert main([*argv, "--out-dir", out, "--sigma", "40"]) == 0
+        assert main([*argv, "--out-dir", fresh, "--sigma", "40"]) == 0
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        on_disk = set(os.listdir(os.path.join(out, "charts")))
+        assert on_disk == set(doc["manifest"]) < before
         for name, digest in doc["manifest"].items():
             with open(os.path.join(out, "charts", name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+        for name in ("report.json", "report.txt"):
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(os.path.join(fresh, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+    @pytest.mark.parametrize("manifest", [True, False], ids=["with", "without"])
+    def test_a_chart_directory_with_other_files_is_refused(self, pipeline, tmp_path,
+                                                           capsys, manifest):
+        out = tmp_path / "report"
+        argv = ["report", "--model", pipeline["model"], "--stats", pipeline["stats"],
+                "--quiet", "--out-dir", str(out)]
+        if manifest:
+            assert main(argv) == 0
+        else:
+            (out / "charts").mkdir(parents=True)
+        (out / "charts" / "notes.txt").write_text("keep me")
+        before = sorted(p.name for p in (out / "charts").iterdir())
+        assert main(argv) == 2
+        assert "'notes.txt', which no report.json there names" in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "charts").iterdir()) == before
+        assert (out / "report.json").exists() == manifest
 
     def test_report_periods_match_the_stagewise_path(self, pipeline, tmp_path):
         """One-shot report and score->detect stages must agree on periods."""

@@ -188,6 +188,20 @@ class TestLoadMetrics:
         with pytest.raises(DataError):
             load_metrics(str(path))
 
+    @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\x0bb", "a\x1fb",
+                                      "a\ufffeb", "a\uffffb"])
+    def test_a_name_xml_cannot_hold_is_refused(self, tmp_path, name):
+        path = tmp_path / "m.csv"
+        path.write_text(f"timestamp,ok,{name}\n2023-01-01T00:00:00Z,1.0,2.0\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"metric column {name!r} holds")):
+            load_metrics(str(path))
+
+    def test_tab_and_line_breaks_are_names_xml_can_hold(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('timestamp,a\tb,"c\nd","e\rf"\n2023-01-01T00:00:00Z,1,2,3\n')
+        assert load_metrics(str(path)).metric_names == ("a\tb", "c\nd", "e\rf")
+
     def test_column_lookup_errors_list_names(self):
         frame = frame_of(5)
         with pytest.raises(DataError, match="a, b"):

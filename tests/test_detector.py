@@ -323,6 +323,15 @@ class TestModelIO:
                      "--out", str(tmp_path / "scores.json")]) == 4
         assert "feature name 'cpu' appears more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["c\0pu", "c\x1bpu", "c\ufffepu", "c\uffffpu"])
+    def test_a_name_xml_cannot_hold_is_a_model_error(self, tmp_path, name):
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        doc["feature_names"][0] = name
+        path = self.resealed(doc, tmp_path / "model.json")
+        with pytest.raises(ModelIOError, match=re.escape(
+                f"feature name {name!r} holds a character that XML cannot hold")):
+            load_model(path)
+
     @pytest.mark.parametrize("target", [b'"shape": [', b'"data": "', b'"dtype": "<f'])
     def test_an_edited_array_field_fails_the_integrity_check(self, tmp_path, target):
         raw = bytearray(FIXTURE_MODEL.read_bytes())

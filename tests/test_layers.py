@@ -434,30 +434,44 @@ def test_std_path_is_zero_where_std_is_zero():
     denom = std + 1e-5
     grad = np.zeros(norm.shape)
     d_std = np.ones((1, 1, 2))
-    got = _moment_backward(grad, np.ones(2), norm, denom, std, 0.0, d_std, 4, axes=1)
+    got = _moment_backward(grad, np.ones(2), norm, denom, std, 0.0, d_std, 4, "bf")
     want = _ref_moment_backward(grad, norm, denom, std, 0.0, d_std, 4, axes=1)
     assert np.array_equal(got, want)
     assert np.all(got[..., 0] == 0.0) and np.all(got[..., 1] != 0.0)
 
 
-@pytest.mark.parametrize("shape", [(32, 5), (6, 9, 4)])
+@pytest.mark.parametrize("shape", [(32, 5), (6, 9, 4), (1500, 150), (64, 30, 6),
+                                   (40, 1), (7, 11, 1)])
 def test_batch_norm_backward_matches_reference_bit_for_bit(shape, rng):
-    x = rng.normal(size=shape) * 3.0 + 1.0
-    x[..., 1] = 2.0  # constant and underflowing features have std == 0
-    x[..., 2] = _tiny_alternating(x.size // shape[-1]).reshape(shape[:-1])
-    layer = BatchNorm(shape[-1])
-    layer.gamma[:] = rng.normal(1.0, 0.3, shape[-1])
-    grad = rng.normal(size=shape)
-    axes = tuple(range(x.ndim - 1))
-    std = x.std(axis=axes)
-    denom = std + layer.EPSILON
-    norm = (x - x.mean(axis=axes)) / denom
-    want = _ref_moment_backward(grad * layer.gamma, norm, denom, std, 0.0, 0.0,
-                                x.size // shape[-1], axes=axes)
-    layer.forward(x, training=True)
-    assert np.array_equal(layer.backward(grad), want)
-    assert np.array_equal(layer.d_gamma, (grad * norm).sum(axis=axes))
-    assert np.array_equal(layer.d_beta, grad.sum(axis=axes))
+    """Forward, running statistics and backward of a training pass against
+    numpy's mean, std and sum, on flat and [batch, T, F] input, in float64
+    and float32."""
+    for dtype in (np.float64, np.float32):
+        x = rng.normal(size=shape) * 3.0 + 1.0
+        if shape[-1] >= 3:
+            x[..., 1] = 2.0  # constant and underflowing features have std == 0
+            x[..., 2] = _tiny_alternating(x.size // shape[-1]).reshape(shape[:-1])
+        x = x.astype(dtype, copy=False)
+        layer = BatchNorm(shape[-1])
+        layer.gamma[:] = rng.normal(1.0, 0.3, shape[-1])
+        layer.beta[:] = rng.normal(0.0, 0.3, shape[-1])
+        gamma, beta = layer.gamma.astype(dtype), layer.beta.astype(dtype)
+        grad = rng.normal(size=shape).astype(dtype, copy=False)
+        axes = tuple(range(x.ndim - 1))
+        mean = x.mean(axis=axes)
+        std = x.std(axis=axes)
+        denom = std + layer.EPSILON
+        norm = (x - mean) / denom
+        want = _ref_moment_backward(grad * gamma, norm, denom, std, 0.0, 0.0,
+                                    x.size // shape[-1], axes=axes)
+        out = layer.forward(x, training=True)
+        assert out.dtype == dtype and np.array_equal(out, gamma * norm + beta)
+        assert np.array_equal(layer.running_mean, 0.9 * np.zeros(shape[-1]) + 0.1 * mean)
+        assert np.array_equal(layer.running_std, 0.9 * np.ones(shape[-1]) + 0.1 * std)
+        dx = layer.backward(grad)
+        assert dx.dtype == dtype and np.array_equal(dx, want), dtype
+        assert np.array_equal(layer.d_gamma, (grad * norm).sum(axis=axes)), dtype
+        assert np.array_equal(layer.d_beta, grad.sum(axis=axes)), dtype
 
 
 @pytest.mark.parametrize("text", TABLE_ARCHITECTURES)

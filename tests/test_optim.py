@@ -1,10 +1,12 @@
-"""Adam update rule and the reconstruction loss."""
+"""Adam update rule, the reconstruction loss and the window score."""
 
 import math
 
 import numpy as np
 import pytest
 
+from dbdiag import build_network, parse_architecture
+from dbdiag.detector import _SCORE_CHUNK, _score_window_array
 from dbdiag.errors import InternalError, TrainingError
 from dbdiag.nn import Adam, squared_error
 
@@ -19,6 +21,35 @@ def reference_adam(grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8, start=0.0):
         v_hat = v / (1.0 - b2 ** t)
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return theta
+
+
+def reference_step(params, moments, grads, t, lr=0.001):
+    """One step of the per-parameter loop the flat update replaced: the same
+    float64 operations, parameter by parameter."""
+    b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPSILON
+    for name, param in params.items():
+        g = grads[name].astype(np.float64, copy=False)
+        m, v = moments[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def mixed_params(rng):
+    return {"0:dense.weights": rng.normal(size=(7, 3)), "0:dense.bias": np.zeros(3),
+            "1:btn.gamma": np.ones(5), "2:dense.weights": rng.normal(size=(3, 7)),
+            "3:bn.beta": rng.normal(size=1)}
+
+
+def mixed_grads(rng, params, scale=1.0):
+    """float32 gradients for even-numbered entries, float64 for the rest."""
+    return {name: (rng.normal(size=p.shape) * scale).astype(
+                np.float32 if i % 2 == 0 else np.float64)
+            for i, (name, p) in enumerate(params.items())}
 
 
 class TestAdam:
@@ -70,6 +101,18 @@ class TestAdam:
         assert fed32.dtype == np.float64
         assert np.array_equal(fed32, fed64)
 
+    def test_mixed_parameters_match_the_per_parameter_loop_bit_for_bit(self, rng):
+        params = mixed_params(rng)
+        ref = {name: p.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in ref.items()}
+        opt = Adam(params, learning_rate=0.003)
+        for t in range(1, 7):
+            grads = mixed_grads(rng, params, scale=10.0 ** (t - 3))
+            opt.step(grads)
+            reference_step(ref, moments, grads, t, lr=0.003)
+            for name, p in params.items():
+                assert np.array_equal(p, ref[name]), (t, name)
+
     def test_missing_gradient_rejected(self):
         opt = Adam({"w": np.zeros(2)})
         with pytest.raises(TrainingError):
@@ -79,6 +122,59 @@ class TestAdam:
         opt = Adam({"w": np.zeros(2)})
         with pytest.raises(TrainingError):
             opt.step({"w": np.array([1.0, np.nan])})
+
+    @pytest.mark.parametrize("fault", ["missing", "nan", "inf", "nan_then_missing"])
+    def test_a_bad_gradient_changes_nothing(self, rng, fault):
+        """The error names the first bad parameter in dict order, and no
+        parameter, moment or step count moves: the next good steps go as if
+        the bad one had never been offered."""
+        params = mixed_params(rng)
+        twin = {name: p.copy() for name, p in params.items()}
+        opt, clean = Adam(params), Adam(twin)
+        good = [mixed_grads(rng, params) for _ in range(3)]
+        opt.step(good[0])
+        clean.step(good[0])
+        before = {name: p.copy() for name, p in params.items()}
+        bad = dict(good[1])
+        if fault == "missing":
+            del bad["2:dense.weights"], bad["3:bn.beta"]
+            message = "no gradient for parameter '2:dense.weights'"
+        elif fault == "nan_then_missing":
+            bad["1:btn.gamma"] = np.full(5, np.nan)
+            del bad["2:dense.weights"]
+            message = "non-finite gradient in parameter '1:btn.gamma'"
+        else:
+            for name in ("2:dense.weights", "3:bn.beta"):
+                bad[name] = bad[name].copy()
+                bad[name].flat[-1] = float(fault)
+            message = "non-finite gradient in parameter '2:dense.weights'"
+        with pytest.raises(TrainingError, match=message):
+            opt.step(bad)
+        for name, p in params.items():
+            assert np.array_equal(p, before[name]), name
+        for grads in good[1:]:
+            opt.step(grads)
+            clean.step(grads)
+        for name, p in params.items():
+            assert np.array_equal(p, twin[name]), name
+
+
+@pytest.mark.parametrize("arch", ["BTN-(8)-(4)-(8*)-BTN*", "(8)-(4)-(8*)"])
+@pytest.mark.parametrize("features", [1, 6])
+def test_window_score_equals_the_float64_time_mean(arch, features, rng):
+    """The score sums a float64 copy of the squared errors over time, which
+    must give the bits of numpy's float64 mean, across a chunk boundary."""
+    steps = 30
+    network = build_network(parse_architecture(arch), steps, features, rng)
+    windows = rng.normal(size=(_SCORE_CHUNK + 37, steps, features)).astype(np.float32)
+    want = []
+    for start in range(0, len(windows), _SCORE_CHUNK):
+        chunk = windows[start:start + _SCORE_CHUNK]
+        resid = network.forward(chunk, training=False) - chunk
+        want.append((resid * resid).mean(axis=1, dtype=np.float64))
+    got = _score_window_array(network, windows)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.concatenate(want))
 
 
 def objective(pred, target):

