@@ -30,8 +30,8 @@ from .detector import (
     save_model,
     train,
 )
-from .errors import ConfigError, DataError, DiagError, ModelError
-from .report import ReportConfig, build_report, render_text, write_report
+from .errors import ConfigError, DiagError
+from .report import ReportConfig, build_report, check_out_dir, render_text, write_report
 from .similarity import match_events
 from .spc import detect, group_periods
 from .synth import (
@@ -43,9 +43,6 @@ from .synth import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_MODEL = 4
 EXIT_INTERNAL = 5
 
 _CONTROL_KEYS = {"command", "config"}
@@ -354,6 +351,7 @@ def _cmd_report(args) -> int:
     config = _config_from(ReportConfig, args)
     if args.stride < 1:
         raise ConfigError(f"stride must be at least 1, got {args.stride}")
+    check_out_dir(args.out_dir)
     detector = load_model(args.model)
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event") if args.events else None
@@ -416,18 +414,10 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse's own exit: help or a bad value
             return int(exc.code or 0)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except DiagError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        kind = "internal error" if exc.exit_code == EXIT_INTERNAL else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

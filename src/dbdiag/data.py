@@ -322,21 +322,15 @@ def write_minute_csv(path: str, key: str, minutes: np.ndarray,
                          for stamp, row in zip(minutes_to_iso(minutes), rows)))
 
 
-def _as_list(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def json_text(payload) -> str:
     """The layout of every JSON file: ``json.dumps`` with a two-space indent
-    and sorted keys, then a newline. ndarrays are written as lists."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=_as_list) + "\n"
+    and sorted keys, then a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def json_checksum(payload) -> str:
     """sha256 of the compact, sorted-key JSON text of ``payload``."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_as_list)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

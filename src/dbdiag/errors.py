@@ -1,17 +1,22 @@
 """Exception taxonomy shared by all dbdiag modules.
 
-The CLI maps these onto exit codes (usage/config = 2, data = 3, model = 4,
-internal = 5), so raising the right class matters more than the message text.
+Each class carries the exit code the CLI returns for it as ``exit_code``
+(usage/config = 2, data = 3, model = 4, internal = 5), inherited by its
+subclasses, so raising the right class matters more than the message text.
 """
 
 
 class DiagError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 5
+
 
 class ConfigError(DiagError):
     """Invalid parameters, shapes, or setup (bad split fractions,
     zero-variance feature, shape mismatch at layer construction, ...)."""
+
+    exit_code = 2
 
 
 class ArchitectureError(ConfigError):
@@ -32,9 +37,13 @@ class DataError(DiagError):
     """Malformed or incompatible input data (CSV ingestion problems,
     duplicate timestamps, feature-name mismatches, series too short)."""
 
+    exit_code = 3
+
 
 class ModelError(DiagError):
     """Problems with a trained model as an artifact."""
+
+    exit_code = 4
 
 
 class TrainingError(ModelError):

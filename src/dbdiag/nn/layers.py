@@ -19,17 +19,19 @@ place. Those arrays and the parameters are what ``state()`` returns, and the
 optimizer and ``Network.set_state`` write them in place too, so a snapshot
 must copy them, as ``Network.get_state`` does.
 
-The temporal-norm pair expands its per-feature ``gamma``/``beta`` to a
-[T, F] block and its per-window moments to contiguous [batch, T, F] arrays
-before combining them with an activation. Broadcasting a [F] or [batch, 1, F]
-operand instead makes NumPy's inner loop run over only F elements per step,
-which costs about three times a same-shape operation. Each element still goes
-through the same float operations in the same order, so the results are
-bit-identical. Forward passes build each expanded moment in a buffer that
-becomes a result or takes memory an inference pass has freed, so scoring holds
-no more [batch, T, F] arrays at once than broadcasting does. The reverse
-layer's training forward and its backward hold one more for the length of the
-call, below the peak of a training step.
+The temporal norm and batch norm share one standardization, ``Standardize``;
+batch norm runs it on the batch viewed as one window, so its moments pool
+batch and time steps. It and the reverse layer expand the per-feature
+``gamma``/``beta`` to a [T, F] block and the per-window moments to contiguous
+[batch, T, F] arrays before combining them with an activation. Broadcasting a
+[F] or [batch, 1, F] operand instead makes NumPy's inner loop run over only F
+elements per step, which costs about three times a same-shape operation. Each
+element still goes through the same float operations in the same order, so the
+results are bit-identical. Forward passes build each expanded moment in a
+buffer that becomes a result or takes memory an inference pass has freed, so
+scoring holds no more [batch, T, F] arrays at once than broadcasting does. The
+reverse layer's training forward and its backward hold one more for the length
+of the call, below the peak of a training step.
 """
 
 from __future__ import annotations
@@ -169,22 +171,21 @@ def _sum(out, *operands):
     return total[:, None, :] if out == "bf" else total
 
 
-def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std, count, out):
-    """Input gradient of z-normalization given the upstream grad wrt the
-    scaled output ``gamma * norm + beta`` plus any external grads wrt the
-    moments, for [batch, T, F] arrays.
+def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std):
+    """Input gradient of z-normalization over axis 1 given the upstream grad
+    wrt the scaled output ``gamma * norm + beta`` plus any external grads wrt
+    the moments, for [batch, T, F] arrays.
 
-    ``denom = std + eps`` divides the centered values, ``count`` is the number
-    of elements each (mean, std) pair was computed over, ``out`` the ``_sum``
-    form of the moments ("bf" for the temporal norm's per-window moments, "f"
-    for batch norm's per-feature ones). The std path is zero where
-    std == 0 (constant slices normalize to an exact constant, so the
-    one-sided derivative drops that term's factor). Training never calls it
-    for a temporal norm, which is always the first layer.
+    ``denom = std + eps`` divides the centered values; each (mean, std) pair
+    was computed over the ``norm.shape[1]`` steps of its window. The std path
+    is zero where std == 0 (constant slices normalize to an exact constant,
+    so the one-sided derivative drops that term's factor). Training never
+    reaches it through a temporal norm, which is always the first layer.
     """
+    count = norm.shape[1]
     d_norm = grad * gamma
-    d_mean = d_mean - _sum(out, d_norm) / denom
-    d_std = d_std - _sum(out, d_norm, norm) / denom
+    d_mean = d_mean - _sum("bf", d_norm) / denom
+    d_std = d_std - _sum("bf", d_norm, norm) / denom
     positive = std > 0.0
     dstd_dx = norm * denom
     dstd_dx /= count * np.where(positive, std, 1.0)
@@ -223,14 +224,51 @@ class ScaleShift(Layer):
                 np.tile(self.beta.astype(dtype, copy=False), (steps, 1)))
 
 
-class TemporalNorm(ScaleShift):
+class Standardize(ScaleShift):
+    """z-normalization of [batch, T, F] input along its time axis, then the
+    scale-shift. The std is the population one plus ``EPSILON`` (added to the
+    std, not the variance), so constant series map to 0 instead of failing."""
+
+    EPSILON = 1e-5
+
+    def standardize(self, x, training):
+        """``(out, mean, std, denom)``, each moment [batch, 1, F]."""
+        steps = x.shape[1]
+        mean = _sum("bf", x) / steps
+        norm = np.repeat(mean, steps, axis=1)
+        np.subtract(x, norm, out=norm)
+        std = np.sqrt(_sum("bf", norm, norm) / steps)
+        denom = std + self.EPSILON
+        out = np.repeat(denom, steps, axis=1)
+        norm /= out
+        if training:
+            self._cache = (norm, std, denom)
+        gamma, beta = self.scale_shift(x.dtype, steps)
+        np.multiply(gamma, norm, out=out)
+        out += beta
+        return out, mean, std, denom
+
+    def standardize_backward(self, grad, d_moments):
+        """Sets ``d_gamma``/``d_beta``; returns the input gradient given
+        ``d_moments``, the grads wrt (mean, std), or None when it is None."""
+        if self._cache is None:
+            raise InternalError(f"{type(self).__name__} backward called before a "
+                                f"training forward pass")
+        norm, std, denom = self._cache
+        self.d_gamma = _sum("f", grad, norm)
+        self.d_beta = _sum("f", grad)
+        if d_moments is None:
+            return None
+        gamma = self.gamma.astype(grad.dtype, copy=False)
+        return _moment_backward(grad, gamma, norm, denom, std, *d_moments)
+
+
+class TemporalNorm(Standardize):
     """Normalizes each (sample, feature) series along its own time axis.
 
     Every window leaves the layer with per-feature mean 0 and standard
     deviation ~1 regardless of where in the original series it was cut,
-    which is what lets one model handle level shifts and trends. Uses the
-    population std plus ``EPSILON`` (added to the std, not the variance), so
-    constant series map to 0 instead of failing.
+    which is what lets one model handle level shifts and trends.
 
     ``forward`` returns ``(out, (mean, denom))``: the per-sample moments, each
     [batch, 1, F], go to the paired ``TemporalNormReverse`` at the decoder
@@ -242,7 +280,6 @@ class TemporalNorm(ScaleShift):
     """
 
     label = "btn"
-    EPSILON = 1e-5
 
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[2] != self.gamma.shape[0]:
@@ -250,36 +287,16 @@ class TemporalNorm(ScaleShift):
                 f"temporal norm expects [batch, T, {self.gamma.shape[0]}], got {x.shape}")
         if x.shape[1] < 2:
             raise ConfigError("temporal norm needs at least 2 time steps per window")
-        steps = x.shape[1]
-        mean = _sum("bf", x) / steps
-        norm = np.repeat(mean, steps, axis=1)
-        np.subtract(x, norm, out=norm)
-        std = np.sqrt(_sum("bf", norm, norm) / steps)
-        denom = std + self.EPSILON
-        out = np.repeat(denom, steps, axis=1)
-        norm /= out
-        if training:
-            self._cache = (norm, std, denom, steps)
-        gamma, beta = self.scale_shift(x.dtype, steps)
-        np.multiply(gamma, norm, out=out)
-        out += beta
+        out, mean, _, denom = self.standardize(x, training)
         return out, (mean, denom)
 
     def backward(self, grad):
-        if self._cache is None:
-            raise InternalError("temporal norm backward called before a training forward pass")
         grad, handed = grad
-        norm, std, denom, steps = self._cache
-        self.d_gamma = _sum("f", grad, norm)
-        self.d_beta = _sum("f", grad)
-        if handed is None:
-            return None
-        out_grad, scaled = handed
-        d_mean = _sum("bf", out_grad)
-        d_denom = _sum("bf", out_grad, scaled)
-        gamma = self.gamma.astype(grad.dtype, copy=False)
-        return _moment_backward(grad, gamma, norm, denom, std, d_mean, d_denom,
-                                steps, "bf")
+        d_moments = None
+        if handed is not None:
+            out_grad, scaled = handed
+            d_moments = (_sum("bf", out_grad), _sum("bf", out_grad, scaled))
+        return self.standardize_backward(grad, d_moments)
 
 
 class TemporalNormReverse(ScaleShift):
@@ -332,22 +349,20 @@ class TemporalNormReverse(ScaleShift):
         return work, (grad, scaled)
 
 
-class BatchNorm(ScaleShift):
+class BatchNorm(Standardize):
     """Batch normalization over every axis except the last (feature) axis.
 
     On [batch, T, F] input the moments pool batches and time steps together;
-    on flat [batch, D] activations they pool the batch, which the layer sums
-    through a [batch, 1, D] view. The sums go through ``_sum`` and the
-    variance follows NumPy's ``var``: centre, square, sum, divide, so the
-    moments and gradients equal those of ``x.mean``, ``x.std`` and ``sum``
-    bit for bit. Training mode uses
-    batch statistics and updates the running stats in place with an
-    exponential moving average; inference uses the running stats and refuses
-    to run before the first training update. ``label`` is ``bn_reverse`` for
-    the decoder-side mirror of a ``bn``; the computation is identical.
+    on flat [batch, D] activations they pool the batch. A training pass runs
+    ``Standardize`` on the input viewed as one [1, batch * T, F] window, so
+    the moments and gradients are the temporal norm's and equal those of
+    ``x.mean``, ``x.std`` and ``sum`` bit for bit. Training mode uses batch
+    statistics and updates the running stats in place with an exponential
+    moving average; inference uses the running stats and refuses to run
+    before the first training update. ``label`` is ``bn_reverse`` for the
+    decoder-side mirror of a ``bn``; the computation is identical.
     """
 
-    EPSILON = 1e-5
     MOMENTUM = 0.1
 
     def __init__(self, width: int, label: str = "bn"):
@@ -367,40 +382,23 @@ class BatchNorm(ScaleShift):
                 f"batch norm expects [batch, {self.width}] or [batch, T, {self.width}], "
                 f"got {x.shape}")
         if training:
-            x3 = x.reshape(x.shape[0], -1, self.width)
-            count = x3.shape[0] * x3.shape[1]
-            mean = _sum("f", x3) / count
-            centred = x3 - mean
-            std = np.sqrt(_sum("f", centred, centred) / count)
-            self.running_mean *= 1.0 - self.MOMENTUM
-            self.running_mean += self.MOMENTUM * mean
-            self.running_std *= 1.0 - self.MOMENTUM
-            self.running_std += self.MOMENTUM * std
+            out, mean, std, _ = self.standardize(x.reshape(1, -1, self.width), training)
+            for running, moment in ((self.running_mean, mean), (self.running_std, std)):
+                running *= 1.0 - self.MOMENTUM
+                running += self.MOMENTUM * moment[0, 0]
             self.updates += 1
-            denom = std + self.EPSILON
-            norm = centred / denom
-            self._cache = (norm, std, denom, count)
-            norm = norm.reshape(x.shape)
-        else:
-            if self.updates == 0:
-                raise ConfigError("batch norm has no running statistics yet; "
-                                  "train before running inference")
-            mean = self.running_mean.astype(x.dtype, copy=False)
-            denom = self.running_std.astype(x.dtype, copy=False) + self.EPSILON
-            norm = (x - mean) / denom
+            return out.reshape(x.shape)
+        if self.updates == 0:
+            raise ConfigError("batch norm has no running statistics yet; "
+                              "train before running inference")
+        mean = self.running_mean.astype(x.dtype, copy=False)
+        denom = self.running_std.astype(x.dtype, copy=False) + self.EPSILON
         gamma, beta = self.scale_shift(x.dtype, 1)
-        return gamma * norm + beta
+        return gamma * ((x - mean) / denom) + beta
 
     def backward(self, grad):
-        if self._cache is None:
-            raise InternalError("batch norm backward called before a training forward pass")
-        norm, std, denom, count = self._cache
-        grad3 = grad.reshape(norm.shape)
-        self.d_gamma = _sum("f", grad3, norm)
-        self.d_beta = _sum("f", grad3)
-        gamma = self.gamma.astype(grad.dtype, copy=False)
-        return _moment_backward(grad3, gamma, norm, denom, std, 0.0, 0.0, count,
-                                "f").reshape(grad.shape)
+        flat = grad.reshape(1, -1, self.width)
+        return self.standardize_backward(flat, (0.0, 0.0)).reshape(grad.shape)
 
     def state(self):
         return {**self.params(), "running_mean": self.running_mean,

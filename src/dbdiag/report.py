@@ -188,24 +188,15 @@ def write_report(out_dir: str, report: dict, charts: dict[str, str]) -> list[str
     A directory that holds an earlier report is reused: the chart files its
     report.json manifest names are removed first, so ``charts/`` ends holding
     exactly the new manifest's charts. A ``charts/`` that holds any file no
-    such manifest names is refused with ``ConfigError``, before anything is
+    such manifest names is refused by ``check_out_dir``, before anything is
     removed. report.json goes last, and an old one goes before its charts,
     so a write cut short never leaves a manifest that names charts which are
     not on disk.
     """
     chart_dir = os.path.join(out_dir, "charts")
     json_path = os.path.join(out_dir, "report.json")
-    try:
-        present = set(os.listdir(chart_dir))
-    except FileNotFoundError:
-        present = set()
+    present = check_out_dir(out_dir)
     if present:
-        old = _manifest_names(json_path)
-        other = sorted(present - old)
-        if other:
-            raise ConfigError(f"{chart_dir} holds {other[0]!r}, which no report.json "
-                              f"there names; write the report to an empty or new "
-                              f"directory")
         os.remove(json_path)
         for name in present:
             os.remove(os.path.join(chart_dir, name))
@@ -224,6 +215,21 @@ def write_report(out_dir: str, report: dict, charts: dict[str, str]) -> list[str
         fh.write(report_to_json_bytes(report))
     written.append(json_path)
     return written
+
+
+def check_out_dir(out_dir: str) -> set[str]:
+    """The files in ``out_dir``'s ``charts/``, each named by the manifest of
+    the report.json there; ``ConfigError`` if one is not."""
+    chart_dir = os.path.join(out_dir, "charts")
+    try:
+        present = set(os.listdir(chart_dir))
+    except FileNotFoundError:
+        return set()
+    other = sorted(present - _manifest_names(os.path.join(out_dir, "report.json")))
+    if other:
+        raise ConfigError(f"{chart_dir} holds {other[0]!r}, which no report.json "
+                          f"there names; write the report to an empty or new directory")
+    return present
 
 
 def _manifest_names(path: str) -> set[str]:

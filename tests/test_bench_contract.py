@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dbdiag import TrainConfig, data, default_scenario, detector, generate, report, similarity
 
@@ -50,11 +51,15 @@ def traced(run):
     return result, {span[0] for span in tracer.spans}, counts
 
 
-def test_spans_cover_a_fit_and_restore_every_attribute():
+@pytest.mark.parametrize("architecture, kinds", [
+    (TINY.architecture, ("btn", "btn_reverse", "dense", "relu")),
+    ("BN-(8)-(4)-(8*)-BN*", ("bn", "dense", "relu"))], ids=["btn", "bn"])
+def test_spans_cover_a_fit_and_restore_every_attribute(architecture, kinds):
     frame = generate(default_scenario(seed=3, duration_minutes=600)).stats
-    result, names, counts = traced(lambda: detector.train(frame, TINY))
+    config = replace(TINY, architecture=architecture)
+    result, names, counts = traced(lambda: detector.train(frame, config))
     assert result.epochs_run == 1
-    for kind in ("btn", "btn_reverse", "dense", "relu"):
+    for kind in kinds:
         assert {f"nn.{kind}.fwd", f"nn.{kind}.bwd"} <= names, kind
     assert {"nn.adam.step", "detector.train", "data.make_windows", "nn.infer.fwd"} <= names
     assert counts["nn.adam.steps"] == counts["detector.batches"] > 0

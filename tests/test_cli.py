@@ -487,8 +487,11 @@ class TestPipeline:
             (out / "charts").mkdir(parents=True)
         (out / "charts" / "notes.txt").write_text("keep me")
         before = sorted(p.name for p in (out / "charts").iterdir())
-        assert main(argv) == 2
-        assert "'notes.txt', which no report.json there names" in capsys.readouterr().err
+        # the directory is checked before any input is read
+        missing_model = ["report", "--model", str(tmp_path / "missing.json"), *argv[3:]]
+        for args in (argv, missing_model):
+            assert main(args) == 2
+            assert "'notes.txt', which no report.json there names" in capsys.readouterr().err
         assert sorted(p.name for p in (out / "charts").iterdir()) == before
         assert (out / "report.json").exists() == manifest
 
