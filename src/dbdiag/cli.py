@@ -31,7 +31,8 @@ from .detector import (
     train,
 )
 from .errors import ConfigError, DiagError
-from .report import ReportConfig, build_report, check_out_dir, render_text, write_report
+from .report import (ReportConfig, build_report, check_out_dir, check_out_files,
+                     render_text, write_report)
 from .similarity import match_events
 from .spc import detect, group_periods
 from .synth import (
@@ -239,8 +240,12 @@ def _cmd_gen(args) -> int:
                      drift_scenario if args.drift else default_scenario)
         given = {"seed": args.seed, "duration_minutes": args.duration}
         spec = make_spec(**{k: v for k, v in given.items() if v is not None})
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"cannot write the scenario: {args.out_dir} is not "
+                          f"a directory") from None
     scenario = generate(spec)
-    os.makedirs(args.out_dir, exist_ok=True)
     stats_path = os.path.join(args.out_dir, "stats.csv")
     events_path = os.path.join(args.out_dir, "events.csv")
     write_metrics(stats_path, scenario.stats)
@@ -257,6 +262,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _config_from(TrainConfig, args)
+    check_out_files(args.model, args.history)
     frame = load_metrics(args.stats)
     result = train(frame, config)
     if args.verbose:
@@ -276,6 +282,7 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     if args.stride < 1:
         raise ConfigError(f"stride must be at least 1, got {args.stride}")
+    check_out_files(args.out, args.csv)
     detector = load_model(args.model)
     frame = load_metrics(args.stats)
     scores = detector.score_frame(frame, stride=args.stride)
@@ -289,6 +296,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _config_from(ReportConfig, args)
+    check_out_files(args.out)
     scores = ScoreSeries.read_json(args.scores)
     baseline = ScoreSeries.read_json(args.baseline) if args.baseline else None
     result = detect(scores, k=config.sigma_k, gap_tolerance=config.gap_tolerance,
@@ -321,6 +329,7 @@ def _cmd_match(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     config = _config_from(ReportConfig, args)
+    check_out_files(args.out)
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event")
     start = iso_to_minute(args.start)
@@ -372,6 +381,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config = _config_from(TrainConfig, args)
+    check_out_files(args.out)
     frame = load_metrics(args.stats)
     if args.architectures:
         archs = tuple(a.strip() for a in args.architectures.split(";") if a.strip())

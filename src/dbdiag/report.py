@@ -219,17 +219,37 @@ def write_report(out_dir: str, report: dict, charts: dict[str, str]) -> list[str
 
 def check_out_dir(out_dir: str) -> set[str]:
     """The files in ``out_dir``'s ``charts/``, each named by the manifest of
-    the report.json there; ``ConfigError`` if one is not."""
+    the report.json there; ``ConfigError`` if one is not, or if ``out_dir``
+    or its ``charts`` is not a directory."""
     chart_dir = os.path.join(out_dir, "charts")
     try:
         present = set(os.listdir(chart_dir))
     except FileNotFoundError:
         return set()
+    except NotADirectoryError:
+        bad = chart_dir if os.path.isdir(out_dir) else out_dir
+        raise ConfigError(f"cannot write the report: {bad} is not a directory") from None
     other = sorted(present - _manifest_names(os.path.join(out_dir, "report.json")))
     if other:
         raise ConfigError(f"{chart_dir} holds {other[0]!r}, which no report.json "
                           f"there names; write the report to an empty or new directory")
     return present
+
+
+def check_out_files(*paths: str | None) -> None:
+    """``ConfigError`` unless a file can be written at each path: its parent
+    directory exists and is a directory, and the path names a file, not a
+    directory. A None path is an unset optional output and is skipped."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write {path!r}: {parent} is not a directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
+        if not os.path.basename(path):
+            raise ConfigError(f"cannot write {path!r}: it names no file")
 
 
 def _manifest_names(path: str) -> set[str]:

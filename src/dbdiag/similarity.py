@@ -30,9 +30,15 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
     Cells D[i, j] are filled one anti-diagonal i + j = d at a time, every
     cell of a diagonal (and of every row of ``b``) in one NumPy step. Each
-    cell is still cost + min(diag, up, left) on the same operands, so the
-    result is bit-identical to the row-by-row recurrence. Non-finite input
-    is rejected: NaN would make the minimum depend on operand order.
+    cell is still cost + min(min(diag, up), left) on the same operands, so
+    the result is bit-identical to the row-by-row recurrence. Non-finite
+    input is rejected: NaN would make the minimum depend on operand order.
+
+    A diagonal is stored as an [n + 1, k] array indexed by row i, then by
+    series, and ``a`` and the reversed ``b`` are laid out the same way, so
+    the cells of rows lo..hi are one contiguous block. Each NumPy step then
+    runs one inner loop over all (hi - lo + 1)·k cells; with the series
+    first, a diagonal's cells would be k strided rows, one short loop each.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -44,24 +50,29 @@ def dtw_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("DTW over a series holding NaN or inf")
     rows = np.atleast_2d(b)
-    n, m = a.size, rows.shape[1]
-    # Buffer d % 3 holds diagonal d, indexed by row i: D[i, d - i]. Row 0
-    # and row d of diagonal d are the D[0, d] and D[d, 0] borders; row 0 is
-    # reset on every step because diagonal 0 leaves D[0, 0] = 0 there.
-    diags = np.full((3, rows.shape[0], n + 1), np.inf)
-    diags[0, :, 0] = 0.0
-    b_rev = rows[:, ::-1]
-    for d in range(2, n + m + 1):
+    k, m = rows.shape
+    n = a.size
+    # Row i of a diagonal-d buffer holds D[i, d - i] for every series; rows 0
+    # and d are the D[0, d] and D[d, 0] borders, which stay inf.
+    prev2, prev, cur = (np.full((n + 1, k), np.inf) for _ in range(3))
+    # Diagonal 2 is D[1, 1] = cost + min(D[0, 0], inf, inf) = cost + 0.0,
+    # which is the cost itself, so D[0, 0] = 0 is never stored.
+    prev[1] = np.abs(a[0] - rows[:, 0])
+    a_rows = np.repeat(a, k).reshape(n, k)
+    b_rev = np.ascontiguousarray(rows[:, ::-1].T)
+    costs = np.empty((n, k))
+    for d in range(3, n + m + 1):
         lo, hi = max(1, d - m), min(n, d - 1)
-        cur, prev, prev2 = diags[d % 3], diags[(d - 1) % 3], diags[(d - 2) % 3]
-        cur[:, 0] = np.inf
-        out = cur[:, lo:hi + 1]
-        np.minimum(prev2[:, lo - 1:hi], prev[:, lo - 1:hi], out=out)
-        np.minimum(out, prev[:, lo:hi + 1], out=out)
-        # b[j - 1] for j = d - i is b_rev[m - d + i].
-        costs = np.abs(a[lo - 1:hi] - b_rev[:, m - d + lo:m - d + hi + 1])
-        np.add(costs, out, out=out)
-    dist = diags[(n + m) % 3, :, n]
+        out = cur[lo:hi + 1]
+        np.minimum(prev2[lo - 1:hi], prev[lo - 1:hi], out=out)
+        np.minimum(out, prev[lo:hi + 1], out=out)
+        # b[:, j - 1] for j = d - i is b_rev[m - d + i].
+        cost = costs[:hi - lo + 1]
+        np.subtract(a_rows[lo - 1:hi], b_rev[m - d + lo:m - d + hi + 1], out=cost)
+        np.abs(cost, out=cost)
+        np.add(cost, out, out=out)
+        prev2, prev, cur = prev, cur, prev2
+    dist = prev[n]
     return float(dist[0]) if b.ndim == 1 else dist.copy()
 
 

@@ -70,15 +70,29 @@ def test_spans_cover_a_diagnosis_and_count_the_chart_bytes(tmp_path):
     model = detector.train(scenario.stats, TINY).detector
     out = str(tmp_path / "report")
 
+    config = report.ReportConfig(sigma_k=2.0)
+    bodies = []
+
     def diagnose():
         scores = model.score_frame(scenario.stats)
         body, charts = report.build_report(scores, scenario.stats, scenario.events, {},
-                                           report.ReportConfig(sigma_k=2.0))
+                                           config)
+        bodies.append(body)
         return report.write_report(out, body, charts)
 
     written, names, counts = traced(diagnose)
     assert {"detector.score_frame", "report.build_report", "charts.control_chart_svg",
             "charts.overlay_svg", "similarity.dtw", "report.write_report"} <= names
+    # One DTW call per matched period, counting n·k·m cells for its period
+    # of n minutes and k wait events of m minutes each (here m = n).
+    matched = [row for row in bodies[0]["anomaly_periods"] if row["events_by_shape"]]
+    k = len(scenario.events.metric_names)
+    minutes = [scenario.stats.slice_minutes(
+        data.iso_to_minute(row["start"]),
+        data.iso_to_minute(row["end"]) + config.match_margin).timestamps.size
+        for row in matched]
+    assert counts["similarity.dtw_calls"] == len(matched) > 0
+    assert counts["similarity.dtw_cells"] == sum(n * k * n for n in minutes)
     svgs = [path for path in written if path.endswith(".svg")]
     assert any(os.path.basename(path).startswith("overlay_") for path in svgs)
     assert counts["charts.svg_bytes"] == sum(os.path.getsize(path) for path in svgs)

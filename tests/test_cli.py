@@ -325,6 +325,72 @@ class TestExitCodes:
         assert "missing" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, option, target, message", [
+        ("train", "--model", "nodir/m.json", "nodir is not a directory"),
+        ("train", "--history", "nodir/h.json", "nodir is not a directory"),
+        ("score", "--out", "nodir/scores.json", "nodir is not a directory"),
+        ("score", "--csv", "afile/scores.csv", "afile is not a directory"),
+        ("detect", "--out", "nodir/detections.json", "nodir is not a directory"),
+        ("match", "--out", "nodir/matches.json", "nodir is not a directory"),
+        ("match", "--out", "adir", "it is a directory"),
+        ("ablate", "--out", "adir", "it is a directory"),
+    ])
+    def test_an_output_file_that_cannot_be_written_is_refused_first(
+            self, tmp_path, capsys, command, option, target, message):
+        """An output whose directory is missing or is a file, or that is
+        itself a directory, exits 2 before any (here missing) input is read."""
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        inputs = {
+            "train": ["--stats", "missing.csv", "--model", "m.json"],
+            "score": ["--model", "missing.json", "--stats", "missing.csv",
+                      "--out", "scores.json"],
+            "detect": ["--scores", "missing.json", "--out", "detections.json"],
+            "match": ["--stats", "missing.csv", "--events", "missing_events.csv"],
+            "ablate": ["--stats", "missing.csv"],
+        }[command]
+        paths = dict(zip(inputs[::2], inputs[1::2]), **{option: target})
+        argv = [command, *(x for flag, path in paths.items()
+                           for x in (flag, str(tmp_path / path)))]
+        if command == "match":
+            argv += ["--feature", "cpu_used", "--start", "2023-01-01T00:00:00Z",
+                     "--end", "2023-01-01T01:00:00Z"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    def test_a_gen_out_dir_that_is_not_a_directory_is_usage(self, tmp_path, capsys,
+                                                            under):
+        target = tmp_path / "out"
+        target.write_text("not a directory")
+        if under:
+            target = target / "data"
+        assert main(["gen", "--out-dir", str(target), "--duration", "600"]) == 2
+        assert f"{target} is not a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("layout", ["file", "under_a_file", "charts_file"])
+    def test_an_out_dir_that_is_not_a_directory_is_usage(self, tmp_path, capsys,
+                                                         layout):
+        target = tmp_path / "out"
+        if layout == "charts_file":
+            target.mkdir()
+            bad = target / "charts"
+        else:
+            bad = target
+        bad.write_text("not a directory")
+        if layout == "under_a_file":
+            target = bad = target / "report"
+        rc = main(["report", "--model", str(tmp_path / "missing.json"),
+                   "--stats", str(tmp_path / "missing.csv"), "--out-dir", str(target)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad} is not a directory" in err
+        assert "missing" not in err
+
     def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys):
         stats = tmp_path / "stats.csv"
         stats.write_text("timestamp,a\n"

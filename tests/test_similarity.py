@@ -102,6 +102,37 @@ class TestDtw:
             assert isinstance(single, float)
             assert dist == single == dtw_by_rows(a, row)
 
+    @pytest.mark.parametrize("n, m, k", [(300, 300, 10), (243, 250, 10),
+                                         (250, 243, 10), (1, 300, 10),
+                                         (300, 1, 10), (120, 120, 1)])
+    def test_report_sized_stacks_match_the_row_loop_exactly(self, n, m, k):
+        """The sizes a report ranks (a period of a few hundred minutes, ten
+        wait events), with either series the longer and one of length 1."""
+        rng = np.random.default_rng(n * 1000 + m + k)
+        a = rng.normal(size=n)
+        b = rng.normal(size=(k, m)) * 1.5 - 0.25
+        dist = dtw_distance(a, b)
+        assert dist.shape == (k,)
+        assert [float(d) for d in dist] == [dtw_by_rows(a, row) for row in b]
+
+    def test_equal_cost_ties_match_the_row_loop_exactly(self):
+        """Small integers make many paths and neighbours cost the same."""
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 3, size=70).astype(float)
+        b = rng.integers(0, 3, size=(6, 55)).astype(float)
+        assert [float(d) for d in dtw_distance(a, b)] == [dtw_by_rows(a, r) for r in b]
+
+    def test_read_only_inputs_are_accepted_and_left_unchanged(self, rng):
+        a = rng.normal(size=30)
+        b = rng.normal(size=(4, 25))
+        a_copy, b_copy = a.copy(), b.copy()
+        a.flags.writeable = False
+        b.flags.writeable = False
+        dist = dtw_distance(a, b)
+        single = dtw_distance(a, b[2])
+        assert isinstance(single, float) and single == dist[2]
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+
     def test_shapes_rejected(self):
         with pytest.raises(DataError):
             dtw_distance(np.ones(3), np.ones((2, 2, 3)))
