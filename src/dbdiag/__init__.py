@@ -42,7 +42,7 @@ from .errors import (
     ModelIOError,
     TrainingError,
 )
-from .report import ReportConfig, build_report, render_text, write_report
+from .report import ReportConfig, build_report, diagnose, render_text, write_report
 from .similarity import EventMatch, dtw_distance, match_events, pearson
 from .spc import (
     AnomalyPeriod,
@@ -105,6 +105,7 @@ __all__ = [
     "default_scenario",
     "drift_scenario",
     "detect",
+    "diagnose",
     "dtw_distance",
     "evaluate_detection",
     "find_out_of_control",

@@ -25,14 +25,13 @@ from .detector import (
     ScoreSeries,
     TrainConfig,
     load_model,
-    model_digest,
     run_ablation,
     save_model,
     train,
 )
-from .errors import ConfigError, DiagError
-from .report import (ReportConfig, build_report, check_out_dir, check_out_files,
-                     render_text, write_report)
+from .errors import ConfigError, DataError, DiagError
+from .report import (ReportConfig, check_out_dir, check_out_files, diagnose, render_text,
+                     write_report)
 from .similarity import match_events
 from .spc import detect, group_periods
 from .synth import (
@@ -81,6 +80,15 @@ def _config_from(cls, args: argparse.Namespace):
     names = {f.name for f in fields(cls)}
     given = {_FIELD_OF_FLAG.get(flag, flag): value for flag, value in vars(args).items()}
     return cls(**{name: value for name, value in given.items() if name in names})
+
+
+def _minute_of(flag: str, text: str) -> int:
+    """The epoch minute a ``--start`` or ``--end`` stamp names; a stamp that
+    names none is a usage error."""
+    try:
+        return iso_to_minute(text)
+    except DataError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _split_type(text: str) -> tuple[float, float, float]:
@@ -329,11 +337,12 @@ def _cmd_match(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     config = _config_from(ReportConfig, args)
+    start, end = _minute_of("--start", args.start), _minute_of("--end", args.end)
+    if end <= start:
+        raise ConfigError(f"--end {args.end} is not after --start {args.start}")
     check_out_files(args.out)
     stats = load_metrics(args.stats)
     events = load_metrics(args.events, kind="event")
-    start = iso_to_minute(args.start)
-    end = iso_to_minute(args.end)
     matches = match_events(stats, args.feature, events, start, end,
                            margin=config.match_margin)
     shown = matches[:args.top]
@@ -361,17 +370,7 @@ def _cmd_report(args) -> int:
     if args.stride < 1:
         raise ConfigError(f"stride must be at least 1, got {args.stride}")
     check_out_dir(args.out_dir)
-    detector = load_model(args.model)
-    stats = load_metrics(args.stats)
-    events = load_metrics(args.events, kind="event") if args.events else None
-    scores = detector.score_frame(stats, stride=args.stride)
-    model_info = {
-        "digest": model_digest(args.model),
-        "architecture": detector.architecture,
-        "window_steps": detector.window_steps,
-        "features": list(detector.feature_names),
-    }
-    report, charts = build_report(scores, stats, events, model_info, config)
+    report, charts = diagnose(args.model, args.stats, args.events, config, args.stride)
     written = write_report(args.out_dir, report, charts)
     if not args.quiet:
         print(render_text(report), end="")
@@ -382,13 +381,13 @@ def _cmd_report(args) -> int:
 def _cmd_ablate(args) -> int:
     config = _config_from(TrainConfig, args)
     check_out_files(args.out)
-    frame = load_metrics(args.stats)
     if args.architectures:
         archs = tuple(a.strip() for a in args.architectures.split(";") if a.strip())
         if not archs:
             raise ConfigError("--architectures is empty")
     else:
         archs = TABLE_ARCHITECTURES
+    frame = load_metrics(args.stats)
     rows = run_ablation(frame, archs, config)
     width = max(len(r["architecture"]) for r in rows)
     print(f"{'architecture':<{width}}  {'test_mse':>10}  {'val_mse':>10}  best/epochs")

@@ -404,10 +404,9 @@ class GlobalNorm:
 
 @dataclass
 class WindowSet:
-    """Sliding windows cut from a frame, with their start positions."""
+    """Sliding windows cut from a frame, with their start minutes."""
 
     windows: np.ndarray            # [n, window_steps, features]; view if no gap
-    start_indices: np.ndarray      # int64, row index into the source frame
     start_timestamps: np.ndarray   # int64 epoch minutes
     window_steps: int
     feature_names: tuple[str, ...]
@@ -440,8 +439,8 @@ def make_windows(frame: MetricFrame, window_steps: int = DEFAULT_WINDOW_STEPS,
             f"(longest run: {int(np.diff(bounds).max())} minutes)")
     view = sliding_window_view(frame.values, window_steps, axis=0).swapaxes(1, 2)
     windows = view[::stride] if breaks.size == 0 else view[starts]
-    return WindowSet(windows, starts, frame.timestamps[starts],
-                     window_steps, frame.metric_names)
+    return WindowSet(windows, frame.timestamps[starts], window_steps,
+                     frame.metric_names)
 
 
 @dataclass
@@ -478,9 +477,8 @@ def split_windows(windows: WindowSet,
             f"{n} windows cannot be split {fractions}; every slice needs at least one")
 
     def cut(a: int, b: int) -> WindowSet:
-        return WindowSet(windows.windows[a:b], windows.start_indices[a:b],
-                         windows.start_timestamps[a:b], windows.window_steps,
-                         windows.feature_names)
+        return WindowSet(windows.windows[a:b], windows.start_timestamps[a:b],
+                         windows.window_steps, windows.feature_names)
 
     return SplitWindows(cut(0, n_train), cut(n_train, n_train + n_val),
                         cut(n_train + n_val, n))

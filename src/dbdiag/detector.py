@@ -117,14 +117,6 @@ class ScoreSeries:
     def __len__(self) -> int:
         return self.scores.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.feature_names.index(name)
-        except ValueError:
-            raise DataError(f"no score column named {name!r}; "
-                            f"have {', '.join(self.feature_names)}") from None
-        return self.scores[:, idx]
-
     def to_dict(self) -> dict:
         return {
             "format": SCORES_FORMAT,

@@ -15,8 +15,8 @@ import os
 from dataclasses import asdict, dataclass
 
 from .charts import control_chart_svg, overlay_svg
-from .data import MetricFrame, json_text, minute_to_iso
-from .detector import ScoreSeries
+from .data import MetricFrame, json_text, load_metrics, minute_to_iso
+from .detector import ScoreSeries, load_model, model_digest
 from .errors import ConfigError, DataError
 from .similarity import match_events
 from .spc import DEFAULT_SIGMA_K, detect, group_periods
@@ -143,6 +143,24 @@ def build_report(scores: ScoreSeries, stat_frame: MetricFrame,
                      for name, svg in sorted(charts.items())},
     }
     return report, charts
+
+
+def diagnose(model_path: str, stats_path: str, events_path: str | None = None,
+             config: ReportConfig | None = None,
+             stride: int = 1) -> tuple[dict, dict[str, str]]:
+    """The report and its charts for a saved model over metric CSVs, as
+    ``build_report`` assembles them; ``write_report(out_dir, *diagnose(...))``
+    writes the bundle ``dbdiag report`` writes. Event matching is skipped
+    when no events CSV is given.
+    """
+    detector = load_model(model_path)
+    stats = load_metrics(stats_path)
+    events = load_metrics(events_path, kind="event") if events_path else None
+    scores = detector.score_frame(stats, stride=stride)
+    model_info = {"digest": model_digest(model_path), "architecture": detector.architecture,
+                  "window_steps": detector.window_steps,
+                  "features": list(detector.feature_names)}
+    return build_report(scores, stats, events, model_info, config)
 
 
 def report_to_json_bytes(report: dict) -> bytes:

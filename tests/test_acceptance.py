@@ -271,8 +271,7 @@ def test_criterion_7_null_false_alarms(acceptance, null_run):
     scores = null_run.result.detector.score_frame(null_run.scenario.stats)
     n = len(scores)
     worst = 0.0
-    for name in scores.feature_names:
-        col = scores.column(name)
+    for name, col in zip(scores.feature_names, scores.scores.T):
         chart = fit_chart(col, name, k=3.0)
         worst = max(worst, len(find_out_of_control(col, chart)) / n)
     acceptance(7, "null false-alarm rate", n >= 1000 and worst <= 0.02,

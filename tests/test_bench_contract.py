@@ -7,7 +7,8 @@ entry point fail in the test suite, not only when the benchmark runs. The
 benchmark's fit check and its "perturbed output bias" gate rest on two facts
 about a saved model, checked here on a small fit: it re-scores the test
 windows bit for bit, and a 1e-9 change to its output bias changes that
-re-score.
+re-score. The benchmark's diagnosis keeps its own copy of the library's
+steps, so it is checked here to write the bundle ``dbdiag report`` writes.
 """
 
 import os
@@ -19,9 +20,11 @@ import numpy as np
 import pytest
 
 from dbdiag import TrainConfig, data, default_scenario, detector, generate, report, similarity
+from dbdiag.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 try:
+    import ops
     from spans import Tracer, instrument
 finally:
     sys.path.pop(0)
@@ -97,6 +100,24 @@ def test_spans_cover_a_diagnosis_and_count_the_chart_bytes(tmp_path):
     assert any(os.path.basename(path).startswith("overlay_") for path in svgs)
     assert counts["charts.svg_bytes"] == sum(os.path.getsize(path) for path in svgs)
     assert counts["report.bytes_written"] == sum(os.path.getsize(path) for path in written)
+
+
+def test_the_benchmark_diagnosis_writes_the_library_report(tmp_path):
+    """``ops.diagnose``, ``write_report(dir, *diagnose(...))`` and ``dbdiag
+    report`` write the same bundle, byte for byte."""
+    paths = ops.Paths(str(tmp_path / "bench"))
+    ops.write_scenario(default_scenario(seed=3, duration_minutes=600), paths)
+    ops.fit(paths, replace(TINY, max_epochs=2))
+    ops.diagnose(paths)
+    reference = ops.bundle_digests(paths.report_dir)
+    assert any(name.startswith("charts/overlay_") for name in reference)
+    library, cli = str(tmp_path / "library"), str(tmp_path / "cli")
+    report.write_report(library, *report.diagnose(paths.model, paths.stats, paths.events))
+    assert main(["report", "--model", paths.model, "--stats", paths.stats,
+                 "--events", paths.events, "--out-dir", cli, "--quiet"]) == 0
+    for out in (library, cli):
+        assert ops.bundle_digests(out) == reference
+        assert ops.check_diagnosis(out, None, reference) == []
 
 
 def test_a_saved_model_rescores_bit_for_bit_and_sees_a_tiny_bias_change(tmp_path):

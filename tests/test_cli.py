@@ -296,6 +296,7 @@ class TestExitCodes:
         ("train", "--window", "1", "window_steps must be at least 2, got 1"),
         ("train", "--stride", "0", "stride must be at least 1, got 0"),
         ("ablate", "--window", "1", "window_steps must be at least 2, got 1"),
+        ("ablate", "--architectures", ";", "--architectures is empty"),
         ("report", "--stride", "0", "stride must be at least 1, got 0"),
         ("score", "--stride", "0", "stride must be at least 1, got 0"),
     ])
@@ -324,6 +325,29 @@ class TestExitCodes:
         assert message in err
         assert "missing" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("start, end, message", [
+        ("2023-01-02T00:00:00Z", "2023-01-01T00:00:00Z",
+         "--end 2023-01-01T00:00:00Z is not after --start 2023-01-02T00:00:00Z"),
+        ("2023-01-01T00:00:00Z", "2023-01-01T00:00:00Z",
+         "--end 2023-01-01T00:00:00Z is not after --start 2023-01-01T00:00:00Z"),
+        ("2023-01-01T02:00:30Z", "2023-01-01T03:00:00Z",
+         "--start: timestamp '2023-01-01T02:00:30Z' is not minute-aligned"),
+        ("2023-01-01T00:00:00Z", "yesterday", "--end: unparseable timestamp 'yesterday'"),
+        ("2023-01-01T00:00:00Z", "1e300",
+         "--end: timestamp '1e300' is outside the years 1 to 9999"),
+    ], ids=["reversed", "empty", "misaligned", "unparseable", "out_of_range"])
+    def test_a_match_period_that_names_no_minutes_is_refused_first(
+            self, tmp_path, capsys, start, end, message):
+        """``--start`` and ``--end`` are read before either (here missing)
+        CSV, and a refusal names the option and the stamp as typed."""
+        rc = main(["match", "--stats", str(tmp_path / "missing.csv"),
+                   "--events", str(tmp_path / "missing_events.csv"),
+                   "--feature", "cpu_used", "--start", start, "--end", end])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing" not in err
 
     @pytest.mark.parametrize("command, option, target, message", [
         ("train", "--model", "nodir/m.json", "nodir is not a directory"),
@@ -579,6 +603,25 @@ class TestPipeline:
                         for g in report["anomaly_periods"]]
         staged_spans = [(g["start"], g["end"]) for g in staged["groups"]]
         assert report_spans == staged_spans[:len(report_spans)]
+
+    def test_train_verbose_prints_each_epoch_of_the_history(self, pipeline, tmp_path,
+                                                            capsys):
+        history = tmp_path / "history.json"
+        assert main(["train", "--stats", pipeline["stats"],
+                     "--model", str(tmp_path / "model.json"),
+                     "--architecture", "BTN-(8)-(4)-(8*)-BTN*",
+                     "--epochs", "3", "--patience", "3", "--batch-size", "256",
+                     "--history", str(history), "--verbose"]) == 0
+        rows = json.loads(history.read_text())
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("epoch")]
+        assert len(lines) == len(rows) == 3
+        for words, row in zip(lines, rows):
+            assert words[0::2] == ["epoch", "objective", "train_mse", "val_mse"]
+            assert int(words[1]) == row["epoch"]
+            for printed, key in zip(words[3::2], ("train_objective", "train_mse",
+                                                  "val_mse")):
+                assert abs(float(printed) - row[key]) <= 5e-7, key
 
     def test_ablate_writes_a_row_per_architecture(self, pipeline, tmp_path):
         out = str(tmp_path / "ablation.json")

@@ -53,8 +53,7 @@ def loop_windows(frame, window_steps, stride):
             idx = seg[off]
             chunks.append(frame.values[idx:idx + window_steps])
             starts.append(idx)
-    start_idx = np.asarray(starts, dtype=np.int64)
-    return np.stack(chunks), start_idx, frame.timestamps[start_idx]
+    return np.stack(chunks), frame.timestamps[np.asarray(starts, dtype=np.int64)]
 
 
 def gapped_frame(lengths, features=("a", "b", "c")):
@@ -487,7 +486,7 @@ class TestWindows:
     def test_stride_thins_the_set(self):
         ws = make_windows(frame_of(100), window_steps=30, stride=10)
         assert len(ws) == 8
-        np.testing.assert_array_equal(ws.start_indices[:3], [0, 10, 20])
+        np.testing.assert_array_equal(ws.start_timestamps[:3], [1000, 1010, 1020])
 
     def test_gap_segments_never_mix(self):
         ts = np.concatenate([np.arange(0, 40), np.arange(100, 140)]).astype(np.int64)
@@ -515,12 +514,11 @@ class TestWindows:
     def test_matches_the_window_loop_exactly(self, lengths, stride):
         frame = gapped_frame(lengths)
         ws = make_windows(frame, window_steps=20, stride=stride)
-        windows, starts, stamps = loop_windows(frame, 20, stride)
+        windows, stamps = loop_windows(frame, 20, stride)
         assert ws.windows.shape == windows.shape
         assert np.array_equal(ws.windows, windows)
-        assert np.array_equal(ws.start_indices, starts)
-        assert ws.start_indices.dtype == np.int64
         assert np.array_equal(ws.start_timestamps, stamps)
+        assert ws.start_timestamps.dtype == np.int64
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_windows_without_a_gap_are_a_read_only_view(self, stride):
