@@ -271,13 +271,11 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     spec = parse_architecture(config.architecture)
     network = build_network(spec, config.window_steps, frame.n_metrics, rng)
-    params = network.parameters()
-    optimizer = Adam(params, learning_rate=config.learning_rate)
+    optimizer = Adam(network.values, network.layout, learning_rate=config.learning_rate)
     lam = config.l2_lambda
     # the L2 penalty covers the weights of every dense layer, whatever its role
-    decayed = [] if lam == 0.0 else [
-        name for name in params
-        if name.split(":", 1)[1].startswith("dense") and name.endswith(".weights")]
+    weights = network.values[network.decayed]
+    d_weights = network.grads[network.decayed]
 
     n_train = len(parts.train)
     batch_size = min(config.batch_size, n_train)
@@ -298,17 +296,14 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
         for start in range(0, n_train, batch_size):
             batch = parts.train.windows[order[start:start + batch_size]]
             batch_sq, grad = squared_error(network.forward(batch, training=True), batch)
-            l2 = lam * sum(float(np.sum(params[name] * params[name])) for name in decayed)
-            objective = batch_sq / batch.shape[0] + l2
+            objective = batch_sq / batch.shape[0] + lam * float(weights @ weights)
             if not np.isfinite(objective):
                 raise TrainingError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at window {start}")
             network.backward(grad, input_grad=False)
-            grads = network.gradients()
-            for name in decayed:
-                grads[name] = grads[name] + 2.0 * lam * params[name]
-            optimizer.step(grads)
+            d_weights += 2.0 * lam * weights
+            optimizer.step(network.grads)
             sq_sum += batch_sq
             obj_sum += objective * batch.shape[0]
 

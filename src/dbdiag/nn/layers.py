@@ -2,22 +2,26 @@
 
 Each layer computes in the dtype of its input and never promotes it: it
 casts its float64 parameters and running statistics to that dtype, so its
-output and its parameter gradients share it. Training and scoring feed
-float32 (``GlobalNorm.apply`` returns it); gradient checks feed float64.
-The parameters, their optimizer state and the running statistics stay
-float64 whatever the input. Each layer caches whatever its backward pass
-needs during a ``forward(..., training=True)`` call and exposes trainable
-parameters and their gradients as name -> array dicts. No layer writes any
-state in a ``training=False`` forward pass (batch-stat layers read their
-running statistics, and the temporal-norm pair hands its moments over as
-values), so inference is safe to run concurrently on a shared model.
-Layers update in place only arrays they allocated in the same call, never
-their inputs, the upstream gradient or anything they cached. The one
-exception is the running statistics: a training forward pass of
-``BatchNorm`` updates ``running_mean``, ``running_std`` and ``updates`` in
-place. Those arrays and the parameters are what ``state()`` returns, and the
-optimizer and ``Network.set_state`` write them in place too, so a snapshot
-must copy them, as ``Network.get_state`` does.
+output and its input gradient share it. Training and scoring feed float32
+(``GlobalNorm.apply`` returns it); gradient checks feed float64. The
+parameters, their gradients, their optimizer state and the running statistics
+stay float64 whatever the input. Each trainable parameter named in ``PARAMS``
+has a float64 gradient ``d_<name>`` of its shape, NaN until a backward pass
+writes it in place with ``np.copyto``, which upcasts a float32 gradient
+exactly. In a ``Network`` each parameter and its gradient are views into its
+two flat vectors, and the optimizer writes the parameters through
+``Network.values``. Each layer caches whatever its backward pass needs during
+a ``forward(..., training=True)`` call. No layer writes any state in a
+``training=False`` forward pass (batch-stat layers read their running
+statistics, and the temporal-norm pair hands its moments over as values), so
+inference is safe to run concurrently on a shared model. Layers update in
+place only arrays they allocated in the same call and their gradients, never
+their inputs, the upstream gradient or anything they cached. The one exception
+is the running statistics: a training forward pass of ``BatchNorm`` updates
+``running_mean``, ``running_std`` and ``updates`` in place. Those arrays and
+the parameters are what ``state()`` returns, and the optimizer and
+``Network.set_state`` write them in place too, so a snapshot must copy them,
+as ``Network.get_state`` does.
 
 The temporal norm and batch norm share one standardization, ``Standardize``;
 batch norm runs it on the batch viewed as one window, so its moments pool
@@ -45,6 +49,8 @@ class Layer:
     """Base layer: parameter-free pass-through."""
 
     label = "layer"
+    # the trainable parameters' attribute names; each has a d_<name> gradient
+    PARAMS: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -53,10 +59,7 @@ class Layer:
         raise NotImplementedError
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     def state(self) -> dict[str, np.ndarray]:
         """The live arrays a snapshot restores: the parameters, by default."""
@@ -71,6 +74,8 @@ class Dense(Layer):
     identical.
     """
 
+    PARAMS = ("weights", "bias")
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  label: str = "dense"):
         if n_in <= 0 or n_out <= 0:
@@ -81,8 +86,8 @@ class Dense(Layer):
         self.label = label
         self._x = None
         self._w = None
-        self.d_weights = None
-        self.d_bias = None
+        self.d_weights = np.full_like(self.weights, np.nan)
+        self.d_bias = np.full_like(self.bias, np.nan)
 
     @property
     def n_in(self) -> int:
@@ -106,15 +111,9 @@ class Dense(Layer):
     def backward(self, grad):
         if self._x is None:
             raise InternalError("dense backward called before a training forward pass")
-        self.d_weights = self._x.T @ grad
-        self.d_bias = grad.sum(axis=0)
+        np.copyto(self.d_weights, self._x.T @ grad)
+        np.copyto(self.d_bias, grad.sum(axis=0))
         return grad @ self._w.T
-
-    def params(self):
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self):
-        return {"weights": self.d_weights, "bias": self.d_bias}
 
 
 class ReLU(Layer):
@@ -201,18 +200,14 @@ def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std):
 class ScaleShift(Layer):
     """A layer with a trainable per-feature scale ``gamma`` and shift ``beta``."""
 
+    PARAMS = ("gamma", "beta")
+
     def __init__(self, width: int):
         self.gamma = np.ones(width)
         self.beta = np.zeros(width)
         self._cache = None
-        self.d_gamma = None
-        self.d_beta = None
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
+        self.d_gamma = np.full_like(self.gamma, np.nan)
+        self.d_beta = np.full_like(self.beta, np.nan)
 
     def scale_shift(self, dtype, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """``gamma`` and ``beta`` in the dtype the layer computes in, tiled to
@@ -255,8 +250,8 @@ class Standardize(ScaleShift):
             raise InternalError(f"{type(self).__name__} backward called before a "
                                 f"training forward pass")
         norm, std, denom = self._cache
-        self.d_gamma = _sum("f", grad, norm)
-        self.d_beta = _sum("f", grad)
+        np.copyto(self.d_gamma, _sum("f", grad, norm))
+        np.copyto(self.d_beta, _sum("f", grad))
         if d_moments is None:
             return None
         gamma = self.gamma.astype(grad.dtype, copy=False)
@@ -340,12 +335,12 @@ class TemporalNormReverse(ScaleShift):
         wide = np.repeat(denom, steps, axis=1)
         work = grad * x
         work *= wide
-        self.d_gamma = _sum("f", work)
+        np.copyto(self.d_gamma, _sum("f", work))
         gamma, _ = self.scale_shift(grad.dtype, steps)
         np.multiply(grad, gamma, out=work)
         work *= wide
         wide *= grad
-        self.d_beta = _sum("f", wide)
+        np.copyto(self.d_beta, _sum("f", wide))
         return work, (grad, scaled)
 
 

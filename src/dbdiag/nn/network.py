@@ -1,26 +1,51 @@
-"""Layer stack with flat parameter naming and state snapshots."""
+"""Layer stack that owns the flat parameter layout and state snapshots."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import InternalError
-from .layers import Layer, TemporalNorm, TemporalNormReverse
+from .layers import Dense, Layer, TemporalNorm, TemporalNormReverse
 
 
 class Network:
     """An ordered stack of layers run as one model.
 
-    Parameters are addressed as ``"<index>:<label>.<name>"`` so optimizers
-    and serializers can treat the whole network as a flat dict. Snapshots
-    hold each layer's ``state()``, which adds the non-trainable batch-norm
-    running stats, so a restored network scores identically.
+    The network owns the parameter layout. Every trainable parameter and its
+    ``d_<name>`` gradient are views into two flat float64 vectors, ``values``
+    and ``grads``, so an optimizer updates all of them as one vector. The
+    weights of every dense layer come first, in layer order, so the L2
+    penalty reads and updates them as the one slice ``decayed``; the other
+    parameters follow in layer order. ``layout`` maps each parameter's name,
+    ``"<index>:<label>.<name>"``, to its slice, in that order. ``grads`` is
+    NaN until a backward pass writes it. Snapshots hold each layer's
+    ``state()`` by name, which adds the non-trainable batch-norm running
+    stats, so a restored network scores identically.
     """
 
     def __init__(self, layers: list[Layer], arch_text: str):
         self.layers = layers
         self.arch_text = arch_text
         self._forward_was_training = False
+        entries = [(f"{i}:{layer.label}.{name}", layer, name)
+                   for i, layer in enumerate(layers) for name in layer.PARAMS]
+        # dense weights first; the sort is stable, so each group keeps layer order
+        entries.sort(key=lambda entry: not (isinstance(entry[1], Dense)
+                                            and entry[2] == "weights"))
+        size = sum(getattr(layer, name).size for _, layer, name in entries)
+        self.values = np.empty(size)
+        self.grads = np.full(size, np.nan)
+        self.layout: dict[str, slice] = {}
+        offset = 0
+        for key, layer, name in entries:
+            param = getattr(layer, name)
+            part = self.layout[key] = slice(offset, offset + param.size)
+            self.values[part] = param.ravel()
+            setattr(layer, name, self.values[part].reshape(param.shape))
+            setattr(layer, f"d_{name}", self.grads[part].reshape(param.shape))
+            offset = part.stop
+        self.decayed = slice(0, sum(layer.weights.size for layer in layers
+                                    if isinstance(layer, Dense)))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # Each TemporalNorm's moments go, last in first out, to the
@@ -71,14 +96,8 @@ class Network:
                 for name, value in getattr(layer, method)().items()}
 
     def parameters(self) -> dict[str, np.ndarray]:
+        """Every trainable parameter by name, as a live view into ``values``."""
         return self._named("params")
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = self._named("grads")
-        for name, g in grads.items():
-            if g is None:
-                raise InternalError(f"gradient for {name} not computed")
-        return grads
 
     def get_state(self) -> dict[str, np.ndarray]:
         """Copies of all trainable parameters plus running statistics."""

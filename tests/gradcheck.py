@@ -1,17 +1,14 @@
 """Finite-difference gradient verification.
 
-Used by the test suite to confirm the analytic backward passes against
-central differences on small random networks. Not needed at runtime, but it
-lives in the package so the check and the layers can never drift apart.
+Confirms the analytic backward passes against central differences on small
+random networks, for criterion 1 and ``test_gradients.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import ReLU, TemporalNorm, TemporalNormReverse
-from .losses import squared_error
-from .network import Network
+from dbdiag.nn import Network, ReLU, TemporalNorm, TemporalNormReverse, squared_error
 
 # central-difference step of numeric_gradients
 STEP = 1e-5
@@ -22,10 +19,11 @@ FLOOR = 1e-4
 def analytic_gradients(net: Network, x: np.ndarray,
                        target: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """One forward/backward pass of the training objective; returns (param
-    grads, input grad)."""
+    grads by name, as views into ``net.grads``, input grad)."""
     _, grad = squared_error(net.forward(x, training=True), target)
     d_input = net.backward(grad)
-    return net.gradients(), d_input
+    return {name: net.grads[net.layout[name]].reshape(p.shape)
+            for name, p in net.parameters().items()}, d_input
 
 
 def numeric_gradients(net: Network, x: np.ndarray,

@@ -27,14 +27,15 @@ from dbdiag import (
 )
 from dbdiag.cli import main as cli_main
 from dbdiag.nn import TemporalNorm
-from dbdiag.nn.gradcheck import (
+from dbdiag.spc import find_out_of_control, fit_chart
+from dbdiag.synth import evaluate_detection
+
+from gradcheck import (
     analytic_gradients,
     min_kink_distance,
     numeric_gradients,
     relative_error,
 )
-from dbdiag.spc import find_out_of_control, fit_chart
-from dbdiag.synth import evaluate_detection
 
 
 # -- 1: analytic gradients vs central finite differences --------------------

@@ -11,7 +11,8 @@ import pytest
 
 from dbdiag import build_network, parse_architecture
 from dbdiag.nn import BatchNorm, Dense, squared_error
-from dbdiag.nn.gradcheck import (
+
+from gradcheck import (
     analytic_gradients,
     min_kink_distance,
     numeric_gradients,

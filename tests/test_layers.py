@@ -12,8 +12,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dbdiag import (
     SELECTED_ARCHITECTURE,
     TABLE_ARCHITECTURES,
+    Detector,
+    GlobalNorm,
     build_network,
+    load_model,
     parse_architecture,
+    save_model,
 )
 from dbdiag.errors import ConfigError, InternalError
 from dbdiag.nn import (
@@ -417,10 +421,13 @@ def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, dtype, rng
                rev_d_gamma=rev.d_gamma, rev_d_beta=rev.d_beta,
                dx=dx, fwd_d_gamma=fwd.d_gamma, fwd_d_beta=fwd.d_beta)
     for name, want in ref.items():
-        assert got[name].dtype == dtype, name
-        assert np.array_equal(got[name], want), name
+        # parameter gradients are stored float64, upcast from the input dtype
+        stored = np.float64 if "_d_" in name else dtype
+        assert got[name].dtype == stored, name
+        assert np.array_equal(got[name], want.astype(stored)), name
 
-    fwd.d_gamma = fwd.d_beta = None
+    fwd.d_gamma.fill(np.nan)
+    fwd.d_beta.fill(np.nan)
     assert fwd.backward((grad_mid, None)) is None
     assert np.array_equal(fwd.d_gamma, ref["fwd_d_gamma"])
     assert np.array_equal(fwd.d_beta, ref["fwd_d_beta"])
@@ -478,10 +485,11 @@ def test_batch_norm_backward_matches_reference_bit_for_bit(shape, rng):
 def test_training_pass_never_writes_its_inputs(text, rng):
     """Layers update only arrays they allocated; a write to the input batch or
     the upstream gradient would raise on these read-only arrays. The training
-    pass (``input_grad=False``) runs first, so a parameter gradient it failed
-    to set is None, and must match the full backward's bit for bit. Each
-    layer's backward is wrapped in a one-argument function, as a tracer
-    wrapping the layers does, so a per-layer keyword would raise."""
+    pass (``input_grad=False``) runs first, on gradients filled with NaN, so a
+    parameter gradient it failed to write stays NaN, and must match the full
+    backward's bit for bit. Each layer's backward is wrapped in a one-argument
+    function, as a tracer wrapping the layers does, so a per-layer keyword
+    would raise."""
     net = build_network(parse_architecture(text), 8, 3, rng)
     for layer in net.layers:
         layer.backward = lambda g, backward=layer.backward: backward(g)
@@ -491,37 +499,100 @@ def test_training_pass_never_writes_its_inputs(text, rng):
     grad.flags.writeable = False
     out = net.forward(x, training=True)
     assert out.shape == x.shape
+    net.grads.fill(np.nan)
     assert net.backward(grad, input_grad=False) is None
-    got = {name: g.copy() for name, g in net.gradients().items()}
+    got = net.grads.copy()
     net.forward(x, training=True)
     assert net.backward(grad).shape == x.shape
-    want = net.gradients()
-    assert got.keys() == want.keys()
-    for name, g in want.items():
-        assert np.array_equal(got[name], g), name
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, net.grads)
+
+
+def _gradients(net):
+    """Each trainable parameter's ``d_<name>`` array, by parameter name."""
+    return {name: getattr(net.layers[int(name.split(":")[0])], f"d_{name.rsplit('.', 1)[1]}")
+            for name in net.parameters()}
+
+
+@pytest.mark.parametrize("text", TABLE_ARCHITECTURES)
+def test_parameters_are_views_of_one_flat_layout(text, rng, tmp_path):
+    """Every parameter and its gradient are views of their slices of the
+    network's two flat vectors, which the slices tile in layout order; the
+    weights of the dense layers, and nothing else, form the ``decayed``
+    slice; ``set_state`` and ``load_model`` write ``values``; and an in-place
+    edit of a ``parameters()`` entry reaches ``values``."""
+    net = build_network(parse_architecture(text), 8, 3, rng)
+    params, grads = net.parameters(), _gradients(net)
+    assert params.keys() == net.layout.keys()
+    offset = 0
+    for name, part in net.layout.items():
+        assert part.start == offset and params[name].size == part.stop - offset, name
+        assert np.shares_memory(params[name], net.values[part]), name
+        assert np.shares_memory(grads[name], net.grads[part]), name
+        assert np.array_equal(params[name].ravel(), net.values[part]), name
+        offset = part.stop
+    assert offset == net.values.size == net.grads.size
+
+    dense_weights = [name for name in params
+                     if name.split(":")[1].startswith("dense") and name.endswith(".weights")]
+    assert net.decayed.start == 0
+    assert [name for name, part in net.layout.items()
+            if part.stop <= net.decayed.stop] == dense_weights
+    assert net.decayed.stop == sum(params[name].size for name in dense_weights)
+
+    def laid_out(network):
+        return np.concatenate([network.parameters()[name].ravel()
+                               for name in network.layout])
+
+    state = {name: value + rng.normal(size=value.shape) if name in params else value
+             for name, value in net.get_state().items()}
+    net.set_state(state)
+    assert np.array_equal(net.values, laid_out(net))
+    assert np.array_equal(net.values, np.concatenate([state[name].ravel()
+                                                      for name in net.layout]))
+
+    path = str(tmp_path / "model.json")
+    save_model(Detector(net, GlobalNorm(("a", "b", "c"), np.zeros(3), np.ones(3)), 8,
+                        ("a", "b", "c")), path)
+    loaded = load_model(path).network
+    assert np.array_equal(loaded.values, laid_out(loaded))
+    assert np.array_equal(loaded.values, net.values)
+
+    name = next(name for name in params if name.endswith("dense_out.bias"))
+    before = net.values.copy()
+    params[name] += 1e-9
+    changed = np.flatnonzero(net.values != before)
+    assert changed.size and np.all((changed >= net.layout[name].start)
+                                   & (changed < net.layout[name].stop))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("text", TABLE_ARCHITECTURES)
 def test_layers_compute_in_the_input_dtype(text, dtype, rng):
-    """A batch's dtype carries through the forward pass, the input gradient
-    and every parameter gradient, so no layer promotes float32 to float64;
-    a float64 batch runs in float64 end to end. Adam updates the float64
-    parameters from either, and every state array keeps its dtype."""
+    """A batch's dtype carries through the forward pass and the input
+    gradient, so no layer promotes float32 to float64; a float64 batch runs
+    in float64 end to end. Each parameter gradient is stored float64 and
+    holds a value of the input dtype, the upcast of a gradient computed in
+    it. Adam updates the float64 parameters from them, and every state array
+    keeps its dtype."""
     net = build_network(parse_architecture(text), 8, 3, rng)
     state = net.get_state()
     assert all(value.dtype == np.float64 for name, value in state.items()
                if not name.endswith(".updates"))
-    optimizer = Adam(net.parameters())
+    optimizer = Adam(net.values, net.layout)
     x = (rng.normal(size=(5, 8, 3)) * 2.0 + 10.0).astype(dtype)
     out = net.forward(x, training=True)
     assert out.dtype == dtype
     assert net.backward(rng.normal(size=x.shape).astype(dtype)).dtype == dtype
-    grads = net.gradients()
-    assert {name: g.dtype for name, g in grads.items()} == {name: dtype for name in grads}
-    optimizer.step(grads)
+    for name, g in _gradients(net).items():
+        assert g.dtype == np.float64, name
+        assert np.array_equal(g, g.astype(dtype).astype(np.float64)), name
+    if dtype == np.float64:
+        # a float64 gradient differs from its float32 rounding almost always
+        assert not np.array_equal(net.grads, net.grads.astype(np.float32))
+    optimizer.step(net.grads)
     after = net.get_state()
     assert {name: v.dtype for name, v in after.items()} == \
         {name: v.dtype for name, v in state.items()}
-    assert any(not np.array_equal(after[name], state[name]) for name in grads)
+    assert any(not np.array_equal(after[name], state[name]) for name in net.layout)
     assert net.forward(x, training=False).dtype == dtype
