@@ -61,7 +61,7 @@ TABLE_ARCHITECTURES = (
     "BTN-(500)-BN-(300)-(150)-(300*)-BN*-(500*)-BTN*",
 )
 
-_SCORE_CHUNK = 4096
+_SCORE_CHUNK = 1024
 
 
 @dataclass
@@ -192,12 +192,19 @@ def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
     The network runs in float32, as in training, whatever dtype the caller's
     windows have; the time mean sums a float64 copy of the squared errors,
     which gives the bits of ``mean(axis=1, dtype=np.float64)`` faster.
+
+    The windows go through in ceil(n / ``_SCORE_CHUNK``) chunks whose sizes
+    differ by at most one. A chunk's temporaries then stay small enough for
+    the allocator to hand the same pages back to the next chunk instead of
+    mapping fresh ones; and no chunk of a frame with at least ``_SCORE_CHUNK``
+    windows is smaller than half of it, so no window lands in a tiny tail that
+    BLAS would multiply with its small-matrix kernels, whose bits differ.
     """
     steps = windows.shape[1]
     parts = []
-    for start in range(0, windows.shape[0], _SCORE_CHUNK):
+    for chunk in np.array_split(windows, -(-windows.shape[0] // _SCORE_CHUNK)):
         # windows may be an overlapping view, which BLAS cannot take
-        chunk = np.ascontiguousarray(windows[start:start + _SCORE_CHUNK], dtype=np.float32)
+        chunk = np.ascontiguousarray(chunk, dtype=np.float32)
         # an inference pass caches nothing, so its output buffer is ours
         resid = network.forward(chunk, training=False)
         resid -= chunk

@@ -30,11 +30,14 @@ from dbdiag import (
     write_metrics,
 )
 from dbdiag.data import (
+    FIRST_MINUTE,
+    LAST_MINUTE,
     decode_array,
     encode_array,
     json_checksum,
     json_text,
     minutes_to_iso,
+    stamps_to_minutes,
     write_csv_rows,
     write_json,
     write_minute_csv,
@@ -408,6 +411,70 @@ class TestBulkParse:
                 with pytest.raises(DataError) as info:
                     dbdiag.data.stamps_to_minutes(stamps, range(2, 122))
                 assert str(info.value) == f"unparseable timestamp {bad!r} in row {at + 2}"
+
+
+class TestCanonicalStamps:
+    """A stamp in the form dbdiag writes, ``YYYY-MM-DDTHH:MM:00Z``, is read by
+    arithmetic; it must read exactly as the general parsers read it, and a
+    stamp of that shape whose fields name no minute must fail as before."""
+
+    def test_random_minutes_read_as_the_row_loop_reads_them(self):
+        rng = np.random.default_rng(22)
+        minutes = rng.integers(FIRST_MINUTE, LAST_MINUTE + 1, size=3000)
+        stamps = minutes_to_iso(minutes)
+        assert np.array_equal(stamps_to_minutes(stamps), minutes)
+        assert [loop_parse_timestamp(s) for s in stamps] == minutes.tolist()
+        # "+00:00" in place of "Z" sends the same instants through datetime64
+        offset = stamps_to_minutes([s[:-1] + "+00:00" for s in stamps])
+        assert np.array_equal(offset, minutes)
+
+    @pytest.mark.parametrize("text", [
+        "0001-01-01T00:00:00Z", "9999-12-31T23:59:00Z", "2000-02-29T00:00:00Z",
+        "2024-02-29T00:00:00Z", "1900-02-28T23:59:00Z", " 2023-03-01T00:00:00Z\t"])
+    def test_edges_read_as_the_row_loop_reads_them(self, text):
+        assert stamps_to_minutes([text]).tolist() == [loop_parse_timestamp(text)]
+
+    @pytest.mark.parametrize("text,message", [
+        ("2023-00-10T00:00:00Z", "unparseable timestamp {}"),
+        ("2023-13-10T00:00:00Z", "unparseable timestamp {}"),
+        ("2023-01-00T00:00:00Z", "unparseable timestamp {}"),
+        ("2023-01-32T00:00:00Z", "unparseable timestamp {}"),
+        ("1900-02-29T00:00:00Z", "unparseable timestamp {}"),
+        ("2023-02-29T00:00:00Z", "unparseable timestamp {}"),
+        ("2023-04-31T00:00:00Z", "unparseable timestamp {}"),
+        ("2023-01-01T24:00:00Z", "unparseable timestamp {}"),
+        ("2023-01-01T00:60:00Z", "unparseable timestamp {}"),
+        ("2023-01-01t00:00:00Z", "unparseable timestamp {}"),
+        ("2023-01-01T00:00:00z", "unparseable timestamp {}"),
+        ("2023-01-01T00:00:30Z", "timestamp {} is not minute-aligned"),
+        ("0000-01-01T00:00:00Z", "timestamp {} is outside the years 1 to 9999")])
+    def test_fields_that_name_no_minute_fail_as_the_general_path_fails(self, text, message):
+        with pytest.raises(DataError) as info:
+            stamps_to_minutes([text])
+        assert str(info.value) == message.format(repr(text))
+        # in a column of every form, before and after other bad stamps
+        good = ["2023-01-01T00:00:00Z", "2023-01-01T05:31:00+05:30", "1672531320",
+                "2023-01-01T00:03:00Z"]
+        for other, other_message in [
+                ("yesterday", "unparseable timestamp {}"),
+                ("2023-01-01T00:01:30+05:30", "timestamp {} is not minute-aligned"),
+                ("0000-12-31T23:59:00Z", "timestamp {} is outside the years 1 to 9999")]:
+            for first, first_message, second in [(text, message, other),
+                                                 (other, other_message, text)]:
+                stamps = good * 30 + [first] + good * 20 + [second] + good
+                with pytest.raises(DataError) as info:
+                    stamps_to_minutes(stamps, range(2, 2 + len(stamps)))
+                assert str(info.value) == first_message.format(f"{first!r} in row 122")
+
+    def test_a_column_of_every_form_reads_as_the_row_loop_reads_it(self):
+        rng = np.random.default_rng(5)
+        minutes = rng.integers(FIRST_MINUTE + 1440, LAST_MINUTE - 1440, size=400)
+        forms = [minutes_to_iso(minutes[:200]),
+                 [f"{s[:-1]}+05:30" for s in minutes_to_iso(minutes[200:300] + 330)],
+                 [str(int(m) * 60) for m in minutes[300:]]]
+        stamps = np.array(sum(forms, []))[rng.permutation(400)]
+        want = [loop_parse_timestamp(s) for s in stamps]
+        assert stamps_to_minutes(stamps).tolist() == want
 
 
 class TestBulkWrite:

@@ -26,6 +26,7 @@ from dbdiag import (
     write_metrics,
 )
 from dbdiag.cli import main
+from dbdiag.detector import _SCORE_CHUNK
 from dbdiag.data import decode_array, encode_array
 from dbdiag.errors import ConfigError, DataError, ModelIOError
 
@@ -137,7 +138,7 @@ class TestScoring:
     @pytest.mark.parametrize("gap", [False, True])
     def test_score_frame_matches_window_level_normalization_without_btn(self, gap):
         # ... and for one whose first dense layer reads the windows directly;
-        # 6000 rows make more than one 4096-window scoring chunk
+        # 6000 rows make more than one scoring chunk
         rng = np.random.default_rng(4)
         ts = np.arange(6000, dtype=np.int64)
         if gap:
@@ -148,7 +149,7 @@ class TestScoring:
         det = Detector(network, GlobalNorm.fit(frame), 30, frame.metric_names)
         got = det.score_frame(frame)
         want = det.score_windows(make_windows(frame, 30))
-        assert len(got) > 4096
+        assert len(got) > _SCORE_CHUNK
         assert np.array_equal(got.scores, want.scores)
         assert np.array_equal(got.window_starts, want.window_starts)
 

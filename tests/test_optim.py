@@ -16,7 +16,7 @@ from dbdiag import (
     split_windows,
     train,
 )
-from dbdiag.detector import _SCORE_CHUNK, _score_window_array
+from dbdiag.detector import SELECTED_ARCHITECTURE, _SCORE_CHUNK, _score_window_array
 from dbdiag.errors import InternalError, TrainingError
 from dbdiag.nn import Adam, squared_error
 
@@ -239,15 +239,26 @@ def test_window_score_equals_the_float64_time_mean(arch, features, rng):
     must give the bits of numpy's float64 mean, across a chunk boundary."""
     steps = 30
     network = build_network(parse_architecture(arch), steps, features, rng)
-    windows = rng.normal(size=(_SCORE_CHUNK + 37, steps, features)).astype(np.float32)
-    want = []
-    for start in range(0, len(windows), _SCORE_CHUNK):
-        chunk = windows[start:start + _SCORE_CHUNK]
-        resid = network.forward(chunk, training=False) - chunk
-        want.append((resid * resid).mean(axis=1, dtype=np.float64))
-    got = _score_window_array(network, windows)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, np.concatenate(want))
+    for n in (_SCORE_CHUNK + 37, _SCORE_CHUNK + 1):
+        windows = rng.normal(size=(n, steps, features)).astype(np.float32)
+        want = []
+        for chunk in np.array_split(windows, -(-n // _SCORE_CHUNK)):
+            resid = network.forward(chunk, training=False) - chunk
+            want.append((resid * resid).mean(axis=1, dtype=np.float64))
+        got = _score_window_array(network, windows)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.concatenate(want))
+
+
+def test_window_score_does_not_depend_on_its_chunk(rng):
+    """Scoring one window more than a chunk holds gives the bits of one pass
+    over all the windows: no window lands in a chunk so small that BLAS
+    multiplies it with another kernel."""
+    network = build_network(parse_architecture(SELECTED_ARCHITECTURE), 30, 6, rng)
+    windows = rng.normal(size=(_SCORE_CHUNK + 1, 30, 6)).astype(np.float32)
+    resid = network.forward(windows, training=False) - windows
+    want = (resid * resid).mean(axis=1, dtype=np.float64)
+    assert np.array_equal(_score_window_array(network, windows), want)
 
 
 def objective(pred, target):
