@@ -19,7 +19,7 @@ import hashlib
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -88,13 +88,14 @@ def stamps_to_minutes(texts, rows=None) -> np.ndarray:
     """Epoch minutes (int64) of a sequence of timestamp strings.
 
     A stamp in the form dbdiag writes, exactly ``YYYY-MM-DDTHH:MM:00Z`` with
-    fields that name a real minute (year 1 or later, a day its month has under
-    the Gregorian leap rule, hour to 23, minute to 59), is read by integer
-    arithmetic on its code points (``_canonical_minutes``); reading every
-    stamp through ``datetime64`` would cost most of a CSV read. Any other
-    stamp that starts with a four-digit year and ``-`` is an ISO-8601 instant,
-    read by ``_iso_micros``, and any other stamp is epoch seconds. Every stamp
-    must land on a minute in the years 1 to 9999. An error names the first bad
+    fields that name a real minute (a day its month has under the Gregorian
+    leap rule, hour to 23, minute to 59), is read by integer arithmetic on its
+    code points and one month-to-day conversion per stamp
+    (``_canonical_minutes``); parsing every stamp's text through
+    ``datetime64`` would cost most of a CSV read. Any other stamp that starts
+    with a four-digit year and ``-`` is an ISO-8601 instant, read by
+    ``_iso_micros``, and any other stamp is epoch seconds. Every stamp must
+    land on a minute in the years 1 to 9999. An error names the first bad
     stamp in array order and, given ``rows`` (one number per stamp), its row.
     """
     texts = np.char.strip(np.asarray(texts, dtype=str))
@@ -138,8 +139,6 @@ def stamps_to_minutes(texts, rows=None) -> np.ndarray:
 _CANONICAL = "dddd-dd-ddTdd:dd:00Z"
 _CANONICAL_LOW = np.array([ord("0" if c == "d" else c) for c in _CANONICAL], dtype=np.uint32)
 _CANONICAL_SPAN = np.array([9 if c == "d" else 0 for c in _CANONICAL], dtype=np.uint32)
-# days in each month of a common year, month 0 holding none
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _canonical_minutes(texts: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +148,14 @@ def _canonical_minutes(texts: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray
     ``codes`` is the uint32 code-point view of ``texts``, at least 20 code
     points wide. Every test reads one of its columns at a time, which is
     faster than a test over [n, 20] rows. Days since the epoch come from
-    Hinnant's ``days_from_civil`` ("chrono-Compatible Low-Level Date
-    Algorithms", 2013).
+    NumPy's calendar: the first days of the stamp's month and of the next,
+    read through ``datetime64[M]``; a day that does not fall before the next
+    month's first is not one its month has.
     """
     canonical = np.char.str_len(texts) == len(_CANONICAL)
     for k, (low, span) in enumerate(zip(_CANONICAL_LOW, _CANONICAL_SPAN)):
         # unsigned, so a code below the lowest wraps round to a huge offset
         canonical &= codes[:, k] - low <= span
-    if not canonical.any():
-        return canonical, np.empty(0, dtype=np.int64)
 
     def field(first: int, width: int) -> np.ndarray:
         value = codes[:, first]
@@ -167,19 +165,16 @@ def _canonical_minutes(texts: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray
 
     year, month, day = field(0, 4), field(5, 2), field(8, 2)
     hour, minute = field(11, 2), field(14, 2)
-    known = (month >= 1) & (month <= 12)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.where(known, month, 0)] + (leap & (month == 2))
-    canonical &= (known & (year >= 1) & (day >= 1) & (day <= month_days)
-                  & (hour <= 23) & (minute <= 59))
+    canonical &= (month >= 1) & (month <= 12) & (hour <= 23) & (minute <= 59)
     year, month, day, hour, minute = (value[canonical].astype(np.int64)
                                       for value in (year, month, day, hour, minute))
-    year -= month <= 2  # a year that starts in March ends with its leap day
-    era, year_of_era = np.divmod(year, 400)
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
-    days = era * 146_097 + day_of_era - 719_468
-    return canonical, days * 1440 + hour * 60 + minute
+    months = (year - 1970) * 12 + month - 1
+    first, after = (m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+                    for m in (months, months + 1))
+    days = first + day - 1
+    real = (first <= days) & (days < after)
+    canonical[canonical] = real
+    return canonical, (days * 1440 + hour * 60 + minute)[real]
 
 
 def _iso_micros(stamps: np.ndarray) -> np.ndarray:
@@ -220,6 +215,14 @@ def _timestamp_error(message: str, text: str, row: int | None) -> DataError:
     # built only on failure, so a CSV row does not pay for its error text
     where = "" if row is None else f" in row {row}"
     return DataError(message.format(f"{str(text)!r}{where}"))
+
+
+def name_list(value, key: str, error: type[DiagError]) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; anything else, a string included,
+    raises ``error`` naming ``key``."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise error(f"{key} must be a JSON list of strings")
+    return tuple(value)
 
 
 def not_xml_name(names) -> str | None:
@@ -462,15 +465,19 @@ class GlobalNorm:
 
 @dataclass
 class WindowSet:
-    """Sliding windows cut from a frame, with their start minutes."""
+    """Sliding windows cut from a frame, with their start minutes. The
+    windows' shape gives their length, ``window_steps``."""
 
     windows: np.ndarray            # [n, window_steps, features]; view if no gap
     start_timestamps: np.ndarray   # int64 epoch minutes
-    window_steps: int
     feature_names: tuple[str, ...]
 
     def __len__(self) -> int:
         return self.windows.shape[0]
+
+    @property
+    def window_steps(self) -> int:
+        return self.windows.shape[1]
 
 
 def make_windows(frame: MetricFrame, window_steps: int = DEFAULT_WINDOW_STEPS,
@@ -497,8 +504,7 @@ def make_windows(frame: MetricFrame, window_steps: int = DEFAULT_WINDOW_STEPS,
             f"(longest run: {int(np.diff(bounds).max())} minutes)")
     view = sliding_window_view(frame.values, window_steps, axis=0).swapaxes(1, 2)
     windows = view[::stride] if breaks.size == 0 else view[starts]
-    return WindowSet(windows, frame.timestamps[starts], window_steps,
-                     frame.metric_names)
+    return WindowSet(windows, frame.timestamps[starts], frame.metric_names)
 
 
 @dataclass
@@ -535,8 +541,8 @@ def split_windows(windows: WindowSet,
             f"{n} windows cannot be split {fractions}; every slice needs at least one")
 
     def cut(a: int, b: int) -> WindowSet:
-        return WindowSet(windows.windows[a:b], windows.start_timestamps[a:b],
-                         windows.window_steps, windows.feature_names)
+        return replace(windows, windows=windows.windows[a:b],
+                       start_timestamps=windows.start_timestamps[a:b])
 
     return SplitWindows(cut(0, n_train), cut(n_train, n_train + n_val),
                         cut(n_train + n_val, n))

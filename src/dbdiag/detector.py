@@ -28,6 +28,7 @@ from .data import (
     json_checksum,
     make_windows,
     minutes_to_iso,
+    name_list,
     not_xml_name,
     read_json,
     split_windows,
@@ -163,10 +164,10 @@ class ScoreSeries:
 
 
 def _feature_names(value) -> tuple[str, ...]:
-    """Stored feature names, each of which must appear once and hold only
-    characters XML can hold: ``load_metrics`` refuses a CSV that breaks
-    either rule, so such a name is a fault of the file."""
-    names = tuple(value)
+    """Stored feature names: a JSON list of strings, each of which must appear
+    once and hold only characters XML can hold. ``load_metrics`` refuses a
+    CSV that breaks either rule, so such a name is a fault of the file."""
+    names = name_list(value, "feature_names", ModelIOError)
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")
@@ -214,19 +215,26 @@ def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
 
 
 class Detector:
-    """A trained reconstruction model plus its data pipeline settings."""
+    """A trained reconstruction model plus its data pipeline settings.
+
+    The normalization names the features, in the order of its mean and std
+    vectors; ``feature_names`` reads them from it.
+    """
 
     def __init__(self, network: Network, norm: GlobalNorm, window_steps: int,
-                 feature_names: tuple[str, ...], training_meta: dict | None = None):
+                 training_meta: dict | None = None):
         self.network = network
         self.norm = norm
         self.window_steps = window_steps
-        self.feature_names = tuple(feature_names)
         self.training_meta = dict(training_meta or {})
 
     @property
     def architecture(self) -> str:
         return self.network.arch_text
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.norm.feature_names
 
     def _check_features(self, names: tuple[str, ...]) -> None:
         if tuple(names) != self.feature_names:
@@ -234,6 +242,8 @@ class Detector:
                             f"[{', '.join(self.feature_names)}], got [{', '.join(names)}]")
 
     def score_windows(self, windows: WindowSet, normalized: bool = False) -> ScoreSeries:
+        if not len(windows):
+            raise DataError("no windows to score")
         if windows.window_steps != self.window_steps:
             raise DataError(f"windows span {windows.window_steps} steps but the model "
                             f"was trained on {self.window_steps}")
@@ -286,17 +296,13 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
 
     n_train = len(parts.train)
     batch_size = min(config.batch_size, n_train)
-    elements = config.window_steps * frame.n_metrics
 
     best_val = np.inf
     best_epoch = 0
     best_state = None
-    stale = 0
     history: list[dict] = []
-    epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
         order = rng.permutation(n_train)
         sq_sum = 0.0
         obj_sum = 0.0
@@ -319,21 +325,19 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
         history.append({
             "epoch": epoch,
             "train_objective": obj_sum / n_train,
-            "train_mse": sq_sum / (n_train * elements),
+            "train_mse": sq_sum / parts.train.windows.size,
             "val_mse": val_mse,
         })
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
             best_state = network.get_state()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
 
+    epochs_run = len(history)
     network.set_state(best_state)
-    detector = Detector(network, norm, config.window_steps, frame.metric_names)
+    detector = Detector(network, norm, config.window_steps)
     test_scores = detector.score_windows(parts.test, normalized=True)
     test_mse = float(test_scores.scores.mean())
     detector.training_meta = {
@@ -374,8 +378,9 @@ def save_model(detector: Detector, path: str) -> None:
 
 def load_model(path: str) -> Detector:
     """Read a ``save_model`` file. Other format versions, a failed checksum,
-    a repeated feature name, a state that does not fit the architecture and
-    a non-finite state entry or normalization value are refused with
+    feature names that are not a list of distinct strings, a state that does
+    not fit the architecture, a non-finite state entry or normalization value
+    and a ``training`` block that is not an object are refused with
     ``ModelIOError``."""
     payload = read_json(path, ModelIOError)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
@@ -411,8 +416,10 @@ def load_model(path: str) -> Detector:
         bad = value[~np.isfinite(value)]
         if bad.size:
             raise ModelIOError(f"{path}: state entry {name} holds {float(bad[0])}")
-    return Detector(network, norm, window_steps, names,
-                    payload.get("training", {}))
+    training = payload.get("training", {})
+    if not isinstance(training, dict):
+        raise ModelIOError(f"{path}: training must be a JSON object")
+    return Detector(network, norm, window_steps, training)
 
 
 def _check_normalization(path: str, norm: GlobalNorm) -> None:

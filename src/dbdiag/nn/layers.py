@@ -18,8 +18,9 @@ inference is safe to run concurrently on a shared model. Layers update in
 place only arrays they allocated in the same call and their gradients, never
 their inputs, the upstream gradient or anything they cached. The one exception
 is the running statistics: a training forward pass of ``BatchNorm`` updates
-``running_mean``, ``running_std`` and ``updates`` in place. Those arrays and
-the parameters are what ``state()`` returns, and the optimizer and
+``running_mean``, ``running_std`` and ``updates`` in place. A layer names its
+parameters in ``PARAMS`` and such in-place arrays in ``BUFFERS``; together
+they are the arrays a ``Network`` holds by name. The optimizer and
 ``Network.set_state`` write them in place too, so a snapshot must copy them,
 as ``Network.get_state`` does.
 
@@ -51,19 +52,14 @@ class Layer:
     label = "layer"
     # the trainable parameters' attribute names; each has a d_<name> gradient
     PARAMS: tuple[str, ...] = ()
+    # the other arrays a snapshot restores, each updated in place
+    BUFFERS: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.PARAMS}
-
-    def state(self) -> dict[str, np.ndarray]:
-        """The live arrays a snapshot restores: the parameters, by default."""
-        return self.params()
 
 
 class Dense(Layer):
@@ -359,6 +355,7 @@ class BatchNorm(Standardize):
     """
 
     MOMENTUM = 0.1
+    BUFFERS = ("running_mean", "running_std", "updates")
 
     def __init__(self, width: int, label: str = "bn"):
         super().__init__(width)
@@ -394,7 +391,3 @@ class BatchNorm(Standardize):
     def backward(self, grad):
         flat = grad.reshape(1, -1, self.width)
         return self.standardize_backward(flat, (0.0, 0.0)).reshape(grad.shape)
-
-    def state(self):
-        return {**self.params(), "running_mean": self.running_mean,
-                "running_std": self.running_std, "updates": self.updates}

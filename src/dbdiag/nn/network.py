@@ -18,9 +18,10 @@ class Network:
     penalty reads and updates them as the one slice ``decayed``; the other
     parameters follow in layer order. ``layout`` maps each parameter's name,
     ``"<index>:<label>.<name>"``, to its slice, in that order. ``grads`` is
-    NaN until a backward pass writes it. Snapshots hold each layer's
-    ``state()`` by name, which adds the non-trainable batch-norm running
-    stats, so a restored network scores identically.
+    NaN until a backward pass writes it. One table holds, under the same
+    names and in layer order, each layer's ``PARAMS`` and its ``BUFFERS``
+    (the batch-norm running stats): ``parameters()`` reads its parameters,
+    and snapshots hold all of it, so a restored network scores identically.
     """
 
     def __init__(self, layers: list[Layer], arch_text: str):
@@ -28,22 +29,25 @@ class Network:
         self.arch_text = arch_text
         self._forward_was_training = False
         entries = [(f"{i}:{layer.label}.{name}", layer, name)
-                   for i, layer in enumerate(layers) for name in layer.PARAMS]
+                   for i, layer in enumerate(layers)
+                   for name in layer.PARAMS + layer.BUFFERS]
         # dense weights first; the sort is stable, so each group keeps layer order
-        entries.sort(key=lambda entry: not (isinstance(entry[1], Dense)
-                                            and entry[2] == "weights"))
-        size = sum(getattr(layer, name).size for _, layer, name in entries)
+        params = sorted((entry for entry in entries if entry[2] in entry[1].PARAMS),
+                        key=lambda entry: not (isinstance(entry[1], Dense)
+                                               and entry[2] == "weights"))
+        size = sum(getattr(layer, name).size for _, layer, name in params)
         self.values = np.empty(size)
         self.grads = np.full(size, np.nan)
         self.layout: dict[str, slice] = {}
         offset = 0
-        for key, layer, name in entries:
+        for key, layer, name in params:
             param = getattr(layer, name)
             part = self.layout[key] = slice(offset, offset + param.size)
             self.values[part] = param.ravel()
             setattr(layer, name, self.values[part].reshape(param.shape))
             setattr(layer, f"d_{name}", self.grads[part].reshape(param.shape))
             offset = part.stop
+        self._arrays = {key: getattr(layer, name) for key, layer, name in entries}
         self.decayed = slice(0, sum(layer.weights.size for layer in layers
                                     if isinstance(layer, Dense)))
 
@@ -89,33 +93,27 @@ class Network:
                 handed.append(pair)
         return out if input_grad else None
 
-    def _named(self, method: str) -> dict[str, np.ndarray]:
-        """Every layer's ``method()`` entries under ``"<index>:<label>.<name>"``."""
-        return {f"{i}:{layer.label}.{name}": value
-                for i, layer in enumerate(self.layers)
-                for name, value in getattr(layer, method)().items()}
-
     def parameters(self) -> dict[str, np.ndarray]:
         """Every trainable parameter by name, as a live view into ``values``."""
-        return self._named("params")
+        return {name: value for name, value in self._arrays.items()
+                if name in self.layout}
 
     def get_state(self) -> dict[str, np.ndarray]:
         """Copies of all trainable parameters plus running statistics."""
-        return {name: value.copy() for name, value in self._named("state").items()}
+        return {name: value.copy() for name, value in self._arrays.items()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore a snapshot; it must hold exactly this network's entries.
         ``copyto`` casts only within a kind, so a float cannot restore an
         integer entry such as an update count."""
-        live = self._named("state")
-        missing = [name for name in live if name not in state]
-        unknown = [name for name in state if name not in live]
+        missing = [name for name in self._arrays if name not in state]
+        unknown = [name for name in state if name not in self._arrays]
         if missing or unknown:
             raise InternalError(
                 f"state does not match the network: missing "
                 f"[{', '.join(missing)}], unknown [{', '.join(unknown)}]")
         for name, value in state.items():
-            if np.shape(value) != live[name].shape:
+            if np.shape(value) != self._arrays[name].shape:
                 raise InternalError(f"state shape mismatch for {name}: "
-                                    f"{live[name].shape} vs {np.shape(value)}")
-            np.copyto(live[name], value)
+                                    f"{self._arrays[name].shape} vs {np.shape(value)}")
+            np.copyto(self._arrays[name], value)

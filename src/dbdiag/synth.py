@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import FIRST_MINUTE, LAST_MINUTE, MetricFrame, read_json, write_json
+from .data import FIRST_MINUTE, LAST_MINUTE, MetricFrame, name_list, read_json, write_json
 from .errors import ConfigError
 
 DEFAULT_STAT_FEATURES = (
@@ -136,7 +136,8 @@ class Injection:
                 offset=int(payload["offset"]),
                 duration=int(payload["duration"]),
                 magnitude=float(payload["magnitude"]),
-                linked_events=tuple(payload.get("linked_events", ())),
+                linked_events=name_list(payload.get("linked_events", []),
+                                        "linked_events", ConfigError),
                 couple=tuple(sorted(dict(payload.get("couple", {})).items())),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -234,8 +235,10 @@ class ScenarioSpec:
                 seed=int(payload.get("seed", 0)),
                 duration_minutes=int(payload["duration_minutes"]),
                 start_minute=int(payload.get("start_minute", DEFAULT_START_MINUTE)),
-                features=tuple(payload.get("features", DEFAULT_STAT_FEATURES)),
-                events=tuple(payload.get("events", EVENT_POOL)),
+                features=name_list(payload.get("features", [*DEFAULT_STAT_FEATURES]),
+                                   "features", ConfigError),
+                events=name_list(payload.get("events", [*EVENT_POOL]), "events",
+                                 ConfigError),
                 injections=tuple(Injection.from_dict(p)
                                  for p in payload.get("injections", ())),
                 baselines=baselines,

@@ -149,9 +149,11 @@ class TestExitCodes:
          "feature name 'cpu_used' appears more than once"),
         (lambda doc: doc["feature_names"].__setitem__(1, "a\x01b"),
          "feature name 'a\\x01b' holds a character that XML cannot hold"),
+        (lambda doc: doc.update(feature_names="".join(doc["feature_names"])),
+         "feature_names must be a JSON list of strings"),
     ], ids=["reversed_starts", "one_step_windows", "fractional_window_steps",
             "string_window_steps", "boolean_window_steps", "repeated_feature_name",
-            "control_character_in_name"])
+            "control_character_in_name", "string_feature_names"])
     def test_malformed_scores_are_model_errors(self, pipeline, tmp_path, capsys,
                                                edit, message):
         scores = tmp_path / "scores.json"
@@ -164,6 +166,15 @@ class TestExitCodes:
                    "--out", str(tmp_path / "det.json")])
         assert rc == 4
         assert message in capsys.readouterr().err
+
+    def test_a_spec_name_list_given_as_a_string_is_usage(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_minutes": 100, "features": "cpu",
+                                    "events": "io"}))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert "features must be a JSON list of strings" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_null_and_spec_conflict_is_usage(self, tmp_path, capsys):
         rc = main(["gen", "--out-dir", str(tmp_path), "--null",

@@ -477,6 +477,40 @@ class TestCanonicalStamps:
         assert stamps_to_minutes(stamps).tolist() == want
 
 
+class TestCanonicalCalendar:
+    """A canonical stamp takes its day from NumPy's month calendar; it must
+    read exactly as its ``+00:00`` spelling, which ``datetime64`` parses."""
+
+    @staticmethod
+    def outcome(stamp: str):
+        """The minute a lone stamp reads as, or its error text with the stamp
+        itself left out."""
+        try:
+            return int(stamps_to_minutes([stamp])[0])
+        except DataError as exc:
+            return str(exc).replace(repr(stamp), "<stamp>")
+
+    def test_every_day_of_a_400_year_cycle(self):
+        days = np.arange(np.datetime64("1601-01-01"), np.datetime64("2001-01-01"))
+        assert len(days) == 146_097
+        step = np.arange(len(days))
+        minutes = (days.astype("datetime64[m]").astype(np.int64)
+                   + step * 7 % 24 * 60 + step * 13 % 60)
+        texts = np.datetime_as_string(minutes.astype("datetime64[m]"), unit="s")
+        canonical = stamps_to_minutes(np.char.add(texts, "Z"))
+        assert np.array_equal(canonical, stamps_to_minutes(np.char.add(texts, "+00:00")))
+        assert np.array_equal(canonical, minutes)
+
+    @pytest.mark.parametrize("year", [1900, 2000, 2023, 2024])
+    def test_the_last_days_of_each_month(self, year):
+        for month in range(1, 13):
+            for day in (29, 30, 31):
+                stamp = f"{year}-{month:02d}-{day}T07:45:00"
+                assert self.outcome(stamp + "Z") == self.outcome(stamp + "+00:00"), stamp
+        leap = year in (2000, 2024)
+        assert isinstance(self.outcome(f"{year}-02-29T07:45:00Z"), int) == leap
+
+
 class TestBulkWrite:
     @pytest.mark.parametrize("names", [("a", "b", "c"), ("a,b", 'q"r'), ()])
     def test_bytes_match_the_row_writer(self, tmp_path, names):
@@ -717,7 +751,7 @@ class TestJsonCodec:
         names = ("cpu_ü", "io")
         network = build_network(parse_architecture(architecture), 4, len(names), rng)
         norm = GlobalNorm(names, rng.normal(size=2), rng.random(2) + 0.5)
-        detector = Detector(network, norm, 4, names, {"seed": 0, "val_mse": 0.25})
+        detector = Detector(network, norm, 4, {"seed": 0, "val_mse": 0.25})
         path = tmp_path / "model.json"
         save_model(detector, str(path))
         payload = {

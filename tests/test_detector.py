@@ -27,7 +27,7 @@ from dbdiag import (
 )
 from dbdiag.cli import main
 from dbdiag.detector import _SCORE_CHUNK
-from dbdiag.data import decode_array, encode_array
+from dbdiag.data import decode_array, encode_array, json_checksum
 from dbdiag.errors import ConfigError, DataError, ModelIOError
 
 
@@ -63,6 +63,15 @@ class TestTrain:
         first = r.history[0]
         assert set(first) == {"epoch", "train_objective", "train_mse", "val_mse"}
         assert all(np.isfinite(list(row.values())).all() for row in r.history)
+
+    @pytest.mark.parametrize("patience", [1, 3])
+    def test_training_stops_patience_epochs_after_the_best(self, tiny_run, patience):
+        config = TrainConfig(**{**FAST, "max_epochs": 40, "patience": patience,
+                                "learning_rate": 0.01})
+        r = train(tiny_run.scenario.stats, config)
+        assert r.epochs_run == r.best_epoch + patience < config.max_epochs
+        val = [row["val_mse"] for row in r.history]
+        assert r.val_mse == val[r.best_epoch - 1] == min(val)
 
     def test_learning_actually_happens(self, tiny_run):
         hist = tiny_run.result.history
@@ -146,7 +155,7 @@ class TestScoring:
         frame = MetricFrame(("a", "b", "c"), ts,
                             rng.normal(5.0, 2.0, size=(6000, 3)))
         network = build_network(parse_architecture("(16)-(6)-(16*)"), 30, 3, rng)
-        det = Detector(network, GlobalNorm.fit(frame), 30, frame.metric_names)
+        det = Detector(network, GlobalNorm.fit(frame), 30)
         got = det.score_frame(frame)
         want = det.score_windows(make_windows(frame, 30))
         assert len(got) > _SCORE_CHUNK
@@ -173,6 +182,16 @@ class TestScoring:
         with pytest.raises(DataError):
             det.score_windows(windows)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_zero_windows_are_a_data_error(self, tiny_run, normalized):
+        det = tiny_run.result.detector
+        windows = make_windows(tiny_run.scenario.stats, det.window_steps)
+        empty = replace(windows, windows=windows.windows[:0],
+                        start_timestamps=windows.start_timestamps[:0])
+        assert empty.window_steps == det.window_steps
+        with pytest.raises(DataError, match="no windows to score"):
+            det.score_windows(empty, normalized=normalized)
+
     def test_score_series_json_roundtrip(self, tiny_run, tmp_path):
         scores = tiny_run.result.test_scores
         path = str(tmp_path / "scores.json")
@@ -192,6 +211,14 @@ class TestScoring:
         with pytest.raises(DataError) as info:
             ScoreSeries.read_json(str(path))
         assert str(info.value) == "timestamp '1e300' is outside the years 1 to 9999"
+
+    @pytest.mark.parametrize("names", ["ab", ["a", 2], {"a": 1, "b": 2}])
+    def test_score_file_feature_names_must_be_a_list_of_strings(self, names):
+        payload = ScoreSeries(np.zeros((1, 2)), np.array([0]), 4, ("a", "b")).to_dict()
+        payload["feature_names"] = names
+        with pytest.raises(ModelIOError, match="feature_names must be a JSON list "
+                                               "of strings"):
+            ScoreSeries.from_dict(payload)
 
 
 class TestModelIO:
@@ -323,6 +350,33 @@ class TestModelIO:
         assert main(["score", "--model", path, "--stats", str(tmp_path / "stats.csv"),
                      "--out", str(tmp_path / "scores.json")]) == 4
         assert "feature name 'cpu' appears more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", ["ci", ["cpu", 7], {"cpu": 0, "io": 1}])
+    def test_feature_names_must_be_a_list_of_strings(self, tmp_path, names):
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        doc["feature_names"] = names
+        path = self.resealed(doc, tmp_path / "model.json")
+        with pytest.raises(ModelIOError, match="feature_names must be a JSON list "
+                                               "of strings"):
+            load_model(path)
+
+    @pytest.mark.parametrize("training", [[1, 2], "fit", 3.5],
+                             ids=["list", "string", "number"])
+    def test_a_training_block_that_is_not_an_object_is_a_model_error(
+            self, tmp_path, capsys, training):
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        doc["training"] = training
+        del doc["checksum"]
+        doc["checksum"] = json_checksum(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        message = "training must be a JSON object"
+        with pytest.raises(ModelIOError, match=message):
+            load_model(str(path))
+        write_metrics(str(tmp_path / "stats.csv"), fixture_frame())
+        assert main(["score", "--model", str(path), "--stats", str(tmp_path / "stats.csv"),
+                     "--out", str(tmp_path / "scores.json")]) == 4
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["c\0pu", "c\x1bpu", "c\ufffepu", "c\uffffpu"])
     def test_a_name_xml_cannot_hold_is_a_model_error(self, tmp_path, name):

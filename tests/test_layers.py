@@ -552,8 +552,8 @@ def test_parameters_are_views_of_one_flat_layout(text, rng, tmp_path):
                                                       for name in net.layout]))
 
     path = str(tmp_path / "model.json")
-    save_model(Detector(net, GlobalNorm(("a", "b", "c"), np.zeros(3), np.ones(3)), 8,
-                        ("a", "b", "c")), path)
+    save_model(Detector(net, GlobalNorm(("a", "b", "c"), np.zeros(3), np.ones(3)), 8),
+               path)
     loaded = load_model(path).network
     assert np.array_equal(loaded.values, laid_out(loaded))
     assert np.array_equal(loaded.values, net.values)

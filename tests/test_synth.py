@@ -86,6 +86,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="malformed scenario"):
             ScenarioSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("field,value", [
+        ("features", "cpu"), ("events", "io"), ("features", ["cpu", 1]),
+        ("events", {"io": 1})])
+    def test_name_lists_must_be_lists_of_strings(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a JSON list of strings"):
+            ScenarioSpec.from_dict({"duration_minutes": 100, field: value})
+
+    @pytest.mark.parametrize("value", ["log_file_sync", ["log_file_sync", 3]])
+    def test_linked_events_must_be_a_list_of_strings(self, value):
+        injection = {"kind": "spike", "feature": "cpu_used", "offset": 10,
+                     "duration": 5, "magnitude": 1.0, "linked_events": value}
+        with pytest.raises(ConfigError, match="linked_events must be a JSON list of strings"):
+            ScenarioSpec.from_dict({"duration_minutes": 100, "injections": [injection]})
+
     def test_json_roundtrip(self, tmp_path):
         spec = default_scenario(seed=5, duration_minutes=800)
         path = str(tmp_path / "spec.json")
