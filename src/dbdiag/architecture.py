@@ -12,10 +12,17 @@ A trailing ``*`` (written inside the parentheses for dense tokens, ``(150*)``)
 marks the decoder counterpart of an encoder token. The starred tokens must
 mirror the unstarred prefix: reading the starred suffix backwards must
 reproduce the encoder tokens kind-for-kind and size-for-size, except that the
-innermost (bottleneck) token may stand alone, and only if it is dense. A
-final linear dense layer that maps back to the window size is implicit; it is
-inserted after the last dense token and before any trailing normalization
-reversals.
+innermost (bottleneck) token may stand alone, and only if it is dense. At
+least one encoder token is dense, and ``BTN`` may only be the first token, so
+by the mirror rule ``BTN*`` can only be the last.
+
+Every valid string thus splits into a lead, a body and a trail. The lead is
+the unstarred normalizations before the first dense token; they run on the
+[batch, T, F] window. The body runs from the first through the last dense
+token on the flattened window, with any ``BN`` between on the flat width. A
+final linear dense layer that maps back to the window size is implicit; it
+follows the body, and the trail, the starred normalizations after the last
+dense token, runs on the [batch, T, F] window again.
 
 Two fixed-form baselines are also accepted: ``PCA-network (n)`` is a linear
 bottleneck (dense n, no ReLU) plus the implicit linear output, and
@@ -62,6 +69,9 @@ class ArchitectureSpec:
     text: str
     tokens: tuple[Token, ...]
     linear_dense: bool = False  # PCA baselines: dense layers without ReLU
+
+    def __post_init__(self):
+        _validate(self.tokens)
 
 
 def _parse_token(raw: str, position: int) -> Token:
@@ -112,7 +122,6 @@ def parse_architecture(text: str) -> ArchitectureSpec:
             f"'PCA-network (n)' or 'PCA-network (n) with BTN'")
 
     tokens = tuple(_parse_token(raw, i + 1) for i, raw in enumerate(text.split("-")))
-    _validate(tokens)
     return ArchitectureSpec(text, tokens)
 
 
@@ -156,19 +165,15 @@ def _validate(tokens: tuple[Token, ...]) -> None:
         if tok.kind == "btn" and not tok.starred and i != 0:
             raise ArchitectureError(
                 "temporal normalization must be the first token", position=i + 1)
-        if tok.kind == "btn" and tok.starred and i != len(tokens) - 1:
-            raise ArchitectureError(
-                "reversed temporal normalization must be the last token",
-                position=i + 1)
 
 
 def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
                   rng: np.random.Generator) -> Network:
     """Compile a parsed architecture into a concrete layer stack.
 
-    The stack runs on [batch, window_steps, n_features] arrays. Dense tokens
-    operate on the flattened window; a Reshape is inserted before the first
-    one and the implicit output layer reshapes back.
+    The stack runs on [batch, window_steps, n_features] arrays: the lead's
+    normalizations, a Reshape to the flat window, the body, the implicit
+    output layer, a Reshape back and the trail's normalizations.
     """
     if window_steps < 2:
         raise ArchitectureError("window must span at least 2 time steps")
@@ -177,46 +182,24 @@ def build_network(spec: ArchitectureSpec, window_steps: int, n_features: int,
 
     flat_width = window_steps * n_features
     window, flat = (window_steps, n_features), (flat_width,)
-    layers: list = []
-
-    # Trailing normalization reversals run on the structured [B, T, F] view
-    # after the implicit output layer, so peel them off first.
-    body = list(spec.tokens)
-    trailing: list[Token] = []
-    while body and body[-1].starred and body[-1].kind in ("bn", "btn"):
-        trailing.insert(0, body.pop())
-
-    structured = True  # whether the running activation is [B, T, F]
+    dense = [i for i, tok in enumerate(spec.tokens) if tok.kind == "dense"]
+    first, last = dense[0], dense[-1]
+    layers = [TemporalNorm(n_features) if tok.kind == "btn"
+              else BatchNorm(n_features, label="bn") for tok in spec.tokens[:first]]
+    layers.append(Reshape(window, flat))
     width = flat_width
-
-    for tok in body:
+    for tok in spec.tokens[first:last + 1]:
         if tok.kind == "dense":
-            if structured:
-                layers.append(Reshape(window, flat))
-                structured = False
             layers.append(Dense(width, tok.units, rng,
                                 label="dense_reverse" if tok.starred else "dense"))
             width = tok.units
             if not spec.linear_dense:
                 layers.append(ReLU())
-        elif tok.kind == "bn":
-            layers.append(BatchNorm(n_features if structured else width,
-                                    label="bn_reverse" if tok.starred else "bn"))
-        else:  # btn
-            if not structured:
-                raise ArchitectureError(
-                    "temporal normalization requires the raw window view")
-            layers.append(TemporalNorm(n_features))
-
-    if structured:
-        layers.append(Reshape(window, flat))
+        else:
+            layers.append(BatchNorm(width, label="bn_reverse" if tok.starred else "bn"))
     layers.append(Dense(width, flat_width, rng, label="dense_out"))
     layers.append(Reshape(flat, window))
-
-    for tok in trailing:
-        if tok.kind == "bn":
-            layers.append(BatchNorm(n_features, label="bn_reverse"))
-        else:
-            layers.append(TemporalNormReverse(n_features))
-
+    layers += [TemporalNormReverse(n_features) if tok.kind == "btn"
+               else BatchNorm(n_features, label="bn_reverse")
+               for tok in spec.tokens[last + 1:]]
     return Network(layers, spec.text)

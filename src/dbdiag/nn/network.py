@@ -52,45 +52,34 @@ class Network:
                                     if isinstance(layer, Dense)))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # Each TemporalNorm's moments go, last in first out, to the
-        # TemporalNormReverse that closes its pair; backward hands the
-        # arrays its moment gradients come from the other way.
+        # The grammar allows one temporal-norm pair, as the first and last
+        # layers: the TemporalNorm hands its moments to the reverse.
         out = x
-        moments = []
         for layer in self.layers:
             if isinstance(layer, TemporalNormReverse):
-                out = (out, moments.pop())
+                out = (out, moments)
             out = layer.forward(out, training=training)
             if isinstance(layer, TemporalNorm):
-                out, m = out
-                moments.append(m)
+                out, moments = out
         self._forward_was_training = training
         return out
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Set every layer's parameter gradients from the gradient wrt the
         output; returns the gradient wrt the input, or None when
-        ``input_grad`` is False.
-
-        Training reads only the parameter gradients. With ``input_grad``
-        False a ``TemporalNorm`` that is the first layer, as every parsed
-        architecture with BTN has it, gets None for its pair's hand-over and
-        skips its moment gradients and input gradient, which no layer below
-        it reads. The parameter gradients are bit-identical either way.
-        Other networks still compute their first layer's input gradient.
+        ``input_grad`` is False, in which case the first-layer
+        ``TemporalNorm`` skips its moment and input gradients. The parameter
+        gradients are bit-identical either way.
         """
         if not self._forward_was_training:
             raise InternalError("backward requires a preceding training-mode forward pass")
         out = grad
-        handed = []
         for layer in reversed(self.layers):
             if isinstance(layer, TemporalNorm):
-                pair = handed.pop()
-                out = (out, pair if input_grad or layer is not self.layers[0] else None)
+                out = (out, pair if input_grad else None)
             out = layer.backward(out)
             if isinstance(layer, TemporalNormReverse):
                 out, pair = out
-                handed.append(pair)
         return out if input_grad else None
 
     def parameters(self) -> dict[str, np.ndarray]:
