@@ -37,6 +37,8 @@ _NO_DATA_WARNING = "loadtxt: input contained no data"
 # other than tab, LF and CR, and U+FFFE and U+FFFF. Metric names become chart
 # text, so no name may hold one.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# the rows write_minute_csv formats and writes at a time
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -259,6 +261,9 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
         names = tuple(h.strip() for h in header[1:])
         if not names:
             raise DataError(f"{path}: no metric columns")
+        if "" in names:
+            raise DataError(f"{path}: column {names.index('') + 2} has an empty "
+                            f"metric name")
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate metric names in header")
         bad = not_xml_name(names)
@@ -374,13 +379,18 @@ def write_minute_csv(path: str, key: str, minutes: np.ndarray,
 
     The header goes through ``csv.writer``. No stamp or float ``repr``
     needs quoting, so the body rows are joined directly with the writer's
-    CRLF line ends: the bytes are those ``csv.writer`` would write.
+    CRLF line ends: the bytes are those ``csv.writer`` would write. The body
+    is formatted and written ``_CSV_BLOCK_ROWS`` rows at a time, so no more
+    than one block's text and Python floats are held at once.
     """
-    rows = np.asarray(values, dtype=np.float64).tolist()
+    values = np.asarray(values, dtype=np.float64)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([key, *names])
-        fh.write("".join(",".join((stamp, *map(repr, row))) + "\r\n"
-                         for stamp, row in zip(minutes_to_iso(minutes), rows)))
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            fh.write("".join(",".join((stamp, *map(repr, row))) + "\r\n"
+                             for stamp, row in zip(minutes_to_iso(minutes[block]),
+                                                   values[block].tolist())))
 
 
 def json_text(payload) -> str:

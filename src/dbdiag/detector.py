@@ -164,10 +164,13 @@ class ScoreSeries:
 
 
 def _feature_names(value) -> tuple[str, ...]:
-    """Stored feature names: a JSON list of strings, each of which must appear
-    once and hold only characters XML can hold. ``load_metrics`` refuses a
-    CSV that breaks either rule, so such a name is a fault of the file."""
+    """Stored feature names: a JSON list of non-empty strings, each of which
+    must appear once and hold only characters XML can hold. ``load_metrics``
+    refuses a CSV that breaks any of these rules, so such a name is a fault
+    of the file."""
     names = name_list(value, "feature_names", ModelIOError)
+    if "" in names:
+        raise ModelIOError("feature names cannot be empty")
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")

@@ -11,7 +11,8 @@ spec always yields byte-identical series.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -181,8 +182,8 @@ class ScenarioSpec:
             if inj.duration < 1:
                 raise ConfigError(f"injection duration must be at least 1 minute, "
                                   f"got {inj.duration}")
-            if inj.magnitude <= 0.0:
-                raise ConfigError(f"injection magnitude must be positive, "
+            if not 0.0 < inj.magnitude < math.inf:
+                raise ConfigError(f"injection magnitude must be positive and finite, "
                                   f"got {inj.magnitude}")
             if inj.offset < 0 or inj.offset + inj.duration > self.duration_minutes:
                 raise ConfigError(
@@ -203,6 +204,18 @@ class ScenarioSpec:
                     raise ConfigError(
                         f"two injections on {inj.feature} overlap in time")
             spans.setdefault(inj.feature, []).append(span)
+        for name, base in self.baselines:
+            if name not in self.features:
+                raise ConfigError(f"baseline for unknown feature {name!r}")
+            for item in fields(Baseline):
+                value = getattr(base, item.name)
+                if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                        or not math.isfinite(value)):
+                    raise ConfigError(f"baseline {name}.{item.name} must be a finite "
+                                      f"number, got {value!r}")
+            if base.noise_sigma < 0:
+                raise ConfigError(f"baseline {name}.noise_sigma cannot be negative, "
+                                  f"got {base.noise_sigma}")
 
     def baseline_for(self, feature: str) -> Baseline:
         for name, base in self.baselines:

@@ -151,9 +151,11 @@ class TestExitCodes:
          "feature name 'a\\x01b' holds a character that XML cannot hold"),
         (lambda doc: doc.update(feature_names="".join(doc["feature_names"])),
          "feature_names must be a JSON list of strings"),
+        (lambda doc: doc["feature_names"].__setitem__(2, ""),
+         "feature names cannot be empty"),
     ], ids=["reversed_starts", "one_step_windows", "fractional_window_steps",
             "string_window_steps", "boolean_window_steps", "repeated_feature_name",
-            "control_character_in_name", "string_feature_names"])
+            "control_character_in_name", "string_feature_names", "empty_feature_name"])
     def test_malformed_scores_are_model_errors(self, pipeline, tmp_path, capsys,
                                                edit, message):
         scores = tmp_path / "scores.json"
@@ -176,10 +178,55 @@ class TestExitCodes:
         assert "features must be a JSON list of strings" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"magnitude": float("nan")}, "injection magnitude must be positive and finite, got nan"),
+        ({"magnitude": float("inf")}, "injection magnitude must be positive and finite, got inf"),
+        ({"baseline": {"level": "x"}}, "baseline cpu_used.level must be a finite number, got 'x'"),
+        ({"baseline": {"level": float("nan")}},
+         "baseline cpu_used.level must be a finite number, got nan"),
+        ({"baseline": {"phase": True}}, "baseline cpu_used.phase must be a finite number, got True"),
+        ({"baseline": {"noise_sigma": -1}},
+         "baseline cpu_used.noise_sigma cannot be negative, got -1"),
+        ({"feature": "nosuch"}, "baseline for unknown feature 'nosuch'"),
+    ], ids=["nan_magnitude", "infinite_magnitude", "string_level", "nan_level",
+            "boolean_phase", "negative_noise", "unknown_feature"])
+    def test_a_spec_that_cannot_be_written_as_data_is_usage(self, tmp_path, capsys,
+                                                            edit, message):
+        baseline = {"level": 1, "daily_amplitude": 1, "trend_slope": 0,
+                    "noise_sigma": 1, **edit.get("baseline", {})}
+        injection = {"kind": "spike", "feature": "cpu_used", "offset": 10,
+                     "duration": 5, "magnitude": edit.get("magnitude", 3.0)}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "duration_minutes": 100, "injections": [injection],
+            "baselines": {edit.get("feature", "cpu_used"): baseline}}))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
     def test_null_and_spec_conflict_is_usage(self, tmp_path, capsys):
         rc = main(["gen", "--out-dir", str(tmp_path), "--null",
                    "--spec", "x.json"])
         assert rc == 2
+
+    def test_null_and_drift_conflict_is_usage(self, tmp_path, capsys):
+        assert main(["gen", "--out-dir", str(tmp_path / "out"), "--null",
+                     "--drift"]) == 2
+        assert "--null and --drift are mutually exclusive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_split_that_is_not_a_number_is_usage(self, tmp_path, capsys):
+        assert main(["train", "--stats", str(tmp_path / "absent.csv"),
+                     "--model", str(tmp_path / "m.json"), "--split", "0.6,x,0.2"]) == 2
+        assert "bad split fractions '0.6,x,0.2'" in capsys.readouterr().err
+
+    def test_a_config_that_holds_a_list_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"epochs": 3}]))
+        assert main(["train", "--stats", str(tmp_path / "absent.csv"),
+                     "--model", str(tmp_path / "m.json"), "--config", str(cfg)]) == 2
+        assert f"config {cfg} must hold a JSON object" in capsys.readouterr().err
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0

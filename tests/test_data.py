@@ -29,7 +29,9 @@ from dbdiag import (
     split_windows,
     write_metrics,
 )
+from dbdiag.cli import main
 from dbdiag.data import (
+    _CSV_BLOCK_ROWS,
     FIRST_MINUTE,
     LAST_MINUTE,
     decode_array,
@@ -189,6 +191,29 @@ class TestLoadMetrics:
         path.write_text("time,a\n2023-01-01T00:00:00Z,1.0\n")
         with pytest.raises(DataError):
             load_metrics(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "m.csv is empty"),
+        ("\ntimestamp,a\n2023-01-01T00:00:00Z,1\n", "m.csv: empty header"),
+        ("timestamp\n2023-01-01T00:00:00Z\n", "m.csv: no metric columns"),
+        ("timestamp,a, a\n2023-01-01T00:00:00Z,1,2\n",
+         "m.csv: duplicate metric names in header"),
+        ("timestamp,a,b\n", "m.csv: no data rows"),
+        ("timestamp,a,\n2023-01-01T00:00:00Z,1,2\n",
+         "m.csv: column 3 has an empty metric name"),
+        ("timestamp, ,a\n2023-01-01T00:00:00Z,1,2\n",
+         "m.csv: column 2 has an empty metric name"),
+    ], ids=["empty_file", "blank_first_line", "no_metric_columns",
+            "duplicate_after_stripping", "header_only", "empty_last_name",
+            "blank_first_name"])
+    def test_a_bad_header_is_a_data_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_metrics(str(path))
+        assert main(["train", "--stats", str(path),
+                     "--model", str(tmp_path / "model.json")]) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\x0bb", "a\x1fb",
                                       "a\ufffeb", "a\uffffb"])
@@ -527,6 +552,18 @@ class TestBulkWrite:
         assert got.read_bytes().startswith(b"timestamp")
         assert b"0001-01-01T00:00:00Z" in got.read_bytes()
         assert b"9999-12-31T23:59:00Z" in got.read_bytes()
+
+    def test_blocks_join_into_the_csv_writer_bytes(self, tmp_path):
+        """A frame that ends one row past the second block boundary writes
+        the bytes ``csv.writer`` writes for it row by row."""
+        rows = 2 * _CSV_BLOCK_ROWS + 1
+        minutes = 27_875_520 + np.arange(rows)
+        values = np.random.default_rng(4).normal(size=(rows, 3)) * 1e3
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_minute_csv(str(got), "timestamp", minutes, ("a", "b", "c"), values)
+        loop_write_minute_csv(str(want), "timestamp", minutes, ("a", "b", "c"), values)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == rows + 1
 
     def test_stamps_equal_the_datetime_spelling(self):
         minutes = np.random.default_rng(0).integers(-1_035_593_280, 4_223_371_680, 1000)

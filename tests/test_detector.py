@@ -378,6 +378,17 @@ class TestModelIO:
                      "--out", str(tmp_path / "scores.json")]) == 4
         assert message in capsys.readouterr().err
 
+    def test_an_empty_feature_name_is_a_model_error(self, tmp_path, capsys):
+        doc = json.loads(FIXTURE_MODEL.read_text())
+        doc["feature_names"][1] = ""
+        path = self.resealed(doc, tmp_path / "model.json")
+        with pytest.raises(ModelIOError, match="feature names cannot be empty"):
+            load_model(path)
+        write_metrics(str(tmp_path / "stats.csv"), fixture_frame())
+        assert main(["score", "--model", path, "--stats", str(tmp_path / "stats.csv"),
+                     "--out", str(tmp_path / "scores.json")]) == 4
+        assert "feature names cannot be empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["c\0pu", "c\x1bpu", "c\ufffepu", "c\uffffpu"])
     def test_a_name_xml_cannot_hold_is_a_model_error(self, tmp_path, name):
         doc = json.loads(FIXTURE_MODEL.read_text())

@@ -67,6 +67,20 @@ class TestCharts:
         assert svg.count("<circle") == 3
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_a_constant_series_charts_as_well_formed_svg(self):
+        """Equal scores and limits give a zero value span, which the chart
+        scales as a span of one around the value."""
+        scores = np.full(40, 0.25)
+        chart = fit_chart(scores, "f")
+        assert chart.lcl == chart.center == chart.ucl == 0.25
+        svg = control_chart_svg(scores, np.arange(40, dtype=np.int64), chart,
+                                np.array([], dtype=np.int64))
+        root = ET.fromstring(svg)
+        assert "nan" not in svg and "inf" not in svg
+        line = root.find("{http://www.w3.org/2000/svg}polyline")
+        ys = {float(point.split(",")[1]) for point in line.get("points").split()}
+        assert len(ys) == 1 and 0 < ys.pop() < float(root.get("height"))
+
     def test_overlay_renders_every_series(self, rng):
         minutes = np.arange(60, dtype=np.int64)
         svg = overlay_svg("spike window", minutes,
