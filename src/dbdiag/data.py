@@ -35,7 +35,7 @@ _TIMEZONE_WARNING = "no explicit representation of timezones"
 _NO_DATA_WARNING = "loadtxt: input contained no data"
 # What XML 1.0 cannot hold, even as a character reference: the C0 controls
 # other than tab, LF and CR, and U+FFFE and U+FFFF. Metric names become chart
-# text, so no name may hold one.
+# text, so no name may hold one (check_names).
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 # the rows write_minute_csv formats and writes at a time
 _CSV_BLOCK_ROWS = 1024
@@ -45,8 +45,11 @@ _CSV_BLOCK_ROWS = 1024
 class MetricFrame:
     """A minute-resolution multivariate series.
 
-    kind is "stat" for resource/state metrics and "event" for wait-event
-    counters. It is a tag for the caller: the pipeline does not read it.
+    The metric names keep the rule of ``check_names``, so every frame can be
+    written by ``write_metrics`` and read back by ``load_metrics`` unchanged;
+    a name that breaks it raises ``DataError``. kind is "stat" for
+    resource/state metrics and "event" for wait-event counters. It is a tag
+    for the caller: the pipeline does not read it.
     """
 
     metric_names: tuple[str, ...]
@@ -55,6 +58,7 @@ class MetricFrame:
     kind: str = "stat"
 
     def __post_init__(self):
+        self.metric_names = check_names(self.metric_names, DataError, "metric_names")
         if self.values.ndim != 2 or self.values.shape != (len(self.timestamps),
                                                           len(self.metric_names)):
             raise DataError(
@@ -227,17 +231,52 @@ def name_list(value, key: str, error: type[DiagError]) -> tuple[str, ...]:
     return tuple(value)
 
 
-def not_xml_name(names) -> str | None:
-    """The first of ``names`` that holds a character XML 1.0 cannot hold, or
-    None."""
-    return next((name for name in names if _NOT_XML.search(name)), None)
+def json_int(value, key: str, error: type[DiagError]) -> int:
+    """``value`` if it is a JSON integer, not a boolean or a float; else
+    raises ``error`` naming ``key``."""
+    if type(value) is not int:
+        raise error(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, key: str, error: type[DiagError]) -> int | float:
+    """``value`` if it is a JSON number, not a boolean or a string; else
+    raises ``error`` naming ``key``."""
+    if type(value) not in (int, float):
+        raise error(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def check_names(names, error: type[DiagError], what: str) -> tuple[str, ...]:
+    """``names`` as a tuple, if a CSV header carries each of them back
+    unchanged: there is at least one name, and no name is empty, has
+    surrounding whitespace, appears twice or holds a character XML 1.0 cannot
+    hold. Otherwise raises ``error``, led by ``what``, naming the first bad
+    name and the rule it breaks. Every place a name enters calls this: a
+    ``MetricFrame``, a CSV header, a model or score file and a scenario spec.
+    """
+    names = tuple(names)
+    if not names:
+        raise error(f"{what}: there must be at least one name")
+    seen = set()
+    for number, name in enumerate(names, start=1):
+        rule = ("is empty" if not name else
+                "has surrounding whitespace" if name != name.strip() else
+                "appears more than once" if name in seen else
+                "holds a character XML 1.0 cannot hold" if _NOT_XML.search(name) else "")
+        if rule:
+            raise error(f"{what}: name {repr(name) if name else number} {rule}")
+        seen.add(name)
+    return names
 
 
 def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     """Read a metric CSV. Header: ``timestamp,<name>,...``; body rows carry
     a timestamp (see ``stamps_to_minutes``) plus one numeric value per metric.
 
-    The header goes through ``csv.reader`` and the body through one
+    The header goes through ``csv.reader``. Its names, stripped of
+    surrounding whitespace, must keep the rule of ``check_names``; a header
+    error is reported before any body error. The body goes through one
     ``np.loadtxt`` call. Only a bad file is read again, to name the row of
     the first problem found, in this order: a row with the wrong number of
     fields or a cell that is not a number, then a bad timestamp, then a
@@ -258,18 +297,8 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
             raise DataError(f"{path}: empty header")
         if header[0].strip() != "timestamp":
             raise DataError(f"{path}: first column must be 'timestamp', got {header[0]!r}")
-        names = tuple(h.strip() for h in header[1:])
-        if not names:
-            raise DataError(f"{path}: no metric columns")
-        if "" in names:
-            raise DataError(f"{path}: column {names.index('') + 2} has an empty "
-                            f"metric name")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: duplicate metric names in header")
-        bad = not_xml_name(names)
-        if bad is not None:
-            raise DataError(f"{path}: metric column {bad!r} holds a character "
-                            f"that XML, and so a chart, cannot hold")
+        names = check_names((h.strip() for h in header[1:]), DataError,
+                            f"{path}: metric names")
         body = np.dtype([("stamp", object), ("values", np.float64, (len(names),))])
         try:
             with warnings.catch_warnings():

@@ -22,14 +22,15 @@ from .data import (
     GlobalNorm,
     MetricFrame,
     WindowSet,
+    check_names,
     check_split,
     decode_array,
     encode_array,
     json_checksum,
+    json_int,
     make_windows,
     minutes_to_iso,
     name_list,
-    not_xml_name,
     read_json,
     split_windows,
     stamps_to_minutes,
@@ -164,28 +165,16 @@ class ScoreSeries:
 
 
 def _feature_names(value) -> tuple[str, ...]:
-    """Stored feature names: a JSON list of non-empty strings, each of which
-    must appear once and hold only characters XML can hold. ``load_metrics``
-    refuses a CSV that breaks any of these rules, so such a name is a fault
+    """Stored feature names: a JSON list of strings that keeps the rule of
+    ``check_names``. No ``MetricFrame`` breaks it, so such a name is a fault
     of the file."""
-    names = name_list(value, "feature_names", ModelIOError)
-    if "" in names:
-        raise ModelIOError("feature names cannot be empty")
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise ModelIOError(f"feature name {repeated[0]!r} appears more than once")
-    bad = not_xml_name(names)
-    if bad is not None:
-        raise ModelIOError(f"feature name {bad!r} holds a character that XML "
-                           f"cannot hold")
-    return names
+    return check_names(name_list(value, "feature_names", ModelIOError), ModelIOError,
+                       "feature_names")
 
 
 def _window_steps(value) -> int:
     """A stored window length: a JSON integer, not a boolean, of at least 2."""
-    if type(value) is not int:
-        raise ModelIOError(f"window_steps must be an integer, got {value!r}")
-    if value < 2:
+    if json_int(value, "window_steps", ModelIOError) < 2:
         raise ModelIOError(f"window_steps must be at least 2, got {value}")
     return value
 

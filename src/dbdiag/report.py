@@ -62,7 +62,7 @@ def chart_file_name(feature: str) -> str:
     """``chart_<feature>.svg`` with ``%`` and ``/`` percent-encoded.
 
     ``/`` is the one character of a metric name that a POSIX file name
-    cannot hold (``load_metrics`` refuses NUL), and ``%`` is encoded first so
+    cannot hold (``check_names`` refuses NUL), and ``%`` is encoded first so
     that no two feature names share a file.
     """
     for char, code in (("%", "%25"), ("/", "%2F")):

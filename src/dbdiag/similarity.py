@@ -148,8 +148,6 @@ def match_events(stat_frame: MetricFrame, feature: str, event_frame: MetricFrame
         raise DataError("metric and event series cover different minutes over "
                         "the period; align them before matching")
 
-    if not event_frame.metric_names:
-        return []
     series = np.stack([znorm(event_slice.column(name))
                        for name in event_frame.metric_names])
     distances = dtw_distance(target, series)

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import FIRST_MINUTE, LAST_MINUTE, MetricFrame, name_list, read_json, write_json
+from .data import (FIRST_MINUTE, LAST_MINUTE, MetricFrame, check_names, json_int,
+                   json_number, name_list, read_json, write_json)
 from .errors import ConfigError
 
 DEFAULT_STAT_FEATURES = (
@@ -134,12 +135,15 @@ class Injection:
             return cls(
                 kind=payload["kind"],
                 feature=payload["feature"],
-                offset=int(payload["offset"]),
-                duration=int(payload["duration"]),
-                magnitude=float(payload["magnitude"]),
+                offset=json_int(payload["offset"], "injection offset", ConfigError),
+                duration=json_int(payload["duration"], "injection duration", ConfigError),
+                magnitude=float(json_number(payload["magnitude"], "injection magnitude",
+                                            ConfigError)),
                 linked_events=name_list(payload.get("linked_events", []),
                                         "linked_events", ConfigError),
-                couple=tuple(sorted(dict(payload.get("couple", {})).items())),
+                couple=tuple(sorted(
+                    (name, json_number(frac, f"injection couple.{name}", ConfigError))
+                    for name, frac in dict(payload.get("couple", {})).items())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed injection: {exc}") from None
@@ -166,12 +170,8 @@ class ScenarioSpec:
             raise ConfigError(f"scenario minutes {self.start_minute} to {last} fall "
                               f"outside the years 1 to 9999 (epoch minutes "
                               f"{FIRST_MINUTE} to {LAST_MINUTE})")
-        if not self.features:
-            raise ConfigError("scenario needs at least one feature")
-        if len(set(self.features)) != len(self.features):
-            raise ConfigError("duplicate feature names")
-        if len(set(self.events)) != len(self.events):
-            raise ConfigError("duplicate event names")
+        check_names(self.features, ConfigError, "features")
+        check_names(self.events, ConfigError, "events")
         spans: dict[str, list[tuple[int, int]]] = {}
         for inj in self.injections:
             if inj.kind not in INJECTION_KINDS:
@@ -245,9 +245,11 @@ class ScenarioSpec:
                 (name, Baseline(**vals))
                 for name, vals in sorted(payload.get("baselines", {}).items()))
             return cls(
-                seed=int(payload.get("seed", 0)),
-                duration_minutes=int(payload["duration_minutes"]),
-                start_minute=int(payload.get("start_minute", DEFAULT_START_MINUTE)),
+                seed=json_int(payload.get("seed", 0), "seed", ConfigError),
+                duration_minutes=json_int(payload["duration_minutes"], "duration_minutes",
+                                          ConfigError),
+                start_minute=json_int(payload.get("start_minute", DEFAULT_START_MINUTE),
+                                      "start_minute", ConfigError),
                 features=name_list(payload.get("features", [*DEFAULT_STAT_FEATURES]),
                                    "features", ConfigError),
                 events=name_list(payload.get("events", [*EVENT_POOL]), "events",

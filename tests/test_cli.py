@@ -146,13 +146,13 @@ class TestExitCodes:
         (lambda doc: doc.update(window_steps=True),
          "window_steps must be an integer, got True"),
         (lambda doc: doc["feature_names"].__setitem__(1, doc["feature_names"][0]),
-         "feature name 'cpu_used' appears more than once"),
+         "feature_names: name 'cpu_used' appears more than once"),
         (lambda doc: doc["feature_names"].__setitem__(1, "a\x01b"),
-         "feature name 'a\\x01b' holds a character that XML cannot hold"),
+         "feature_names: name 'a\\x01b' holds a character XML 1.0 cannot hold"),
         (lambda doc: doc.update(feature_names="".join(doc["feature_names"])),
          "feature_names must be a JSON list of strings"),
         (lambda doc: doc["feature_names"].__setitem__(2, ""),
-         "feature names cannot be empty"),
+         "feature_names: name 3 is empty"),
     ], ids=["reversed_starts", "one_step_windows", "fractional_window_steps",
             "string_window_steps", "boolean_window_steps", "repeated_feature_name",
             "control_character_in_name", "string_feature_names", "empty_feature_name"])
@@ -204,6 +204,52 @@ class TestExitCodes:
         assert main(["gen", "--spec", str(spec), "--out-dir", str(out)]) == 2
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 3.9, "seed must be an integer, got 3.9"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("duration_minutes", 700.8, "duration_minutes must be an integer, got 700.8"),
+        ("duration_minutes", "700", "duration_minutes must be an integer, got '700'"),
+        ("start_minute", 27_875_520.0,
+         "start_minute must be an integer, got 27875520.0"),
+        ("offset", 100.6, "injection offset must be an integer, got 100.6"),
+        ("duration", 8.9, "injection duration must be an integer, got 8.9"),
+        ("duration", False, "injection duration must be an integer, got False"),
+        ("magnitude", True, "injection magnitude must be a number, got True"),
+        ("magnitude", "10", "injection magnitude must be a number, got '10'"),
+        ("couple", {"active_session": True},
+         "injection couple.active_session must be a number, got True"),
+        ("couple", {"active_session": "0.5"},
+         "injection couple.active_session must be a number, got '0.5'"),
+    ])
+    def test_a_spec_number_of_the_wrong_json_type_is_usage(self, tmp_path, capsys,
+                                                           field, value, message):
+        injection = {"kind": "spike", "feature": "cpu_used", "offset": 100,
+                     "duration": 8, "magnitude": 10}
+        doc = {"seed": 3, "duration_minutes": 700, "injections": [injection]}
+        (injection if field in ("offset", "duration", "magnitude", "couple")
+         else doc)[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec), "--out-dir", str(out)]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_spec_keeps_its_integral_numbers(self, tmp_path):
+        """JSON integers are read as they are, and an integral magnitude is
+        written back as a float."""
+        injection = {"kind": "spike", "feature": "cpu_used", "offset": 100,
+                     "duration": 8, "magnitude": 10, "couple": {"active_session": 1}}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 3, "duration_minutes": 700,
+                                    "injections": [injection]}))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec), "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "scenario.json").read_text())
+        assert (doc["seed"], doc["duration_minutes"]) == (3, 700)
+        assert doc["injections"][0] == {**injection, "magnitude": 10.0,
+                                        "linked_events": []}
 
     def test_null_and_spec_conflict_is_usage(self, tmp_path, capsys):
         rc = main(["gen", "--out-dir", str(tmp_path), "--null",
@@ -599,7 +645,8 @@ class TestPipeline:
         stats.write_text(",".join(names) + "\n" + body, encoding="utf-8")
         assert main(["score", "--model", pipeline["model"], "--stats", str(stats),
                      "--out", str(tmp_path / "scores.json")]) == 3
-        assert f"metric column {name!r}" in capsys.readouterr().err
+        assert (f"metric names: name {name!r} holds a character XML 1.0 cannot hold"
+                in capsys.readouterr().err)
 
     def test_a_reused_report_directory_holds_exactly_its_manifest(self, pipeline,
                                                                   tmp_path):

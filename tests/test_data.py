@@ -195,14 +195,15 @@ class TestLoadMetrics:
     @pytest.mark.parametrize("text, message", [
         ("", "m.csv is empty"),
         ("\ntimestamp,a\n2023-01-01T00:00:00Z,1\n", "m.csv: empty header"),
-        ("timestamp\n2023-01-01T00:00:00Z\n", "m.csv: no metric columns"),
+        ("timestamp\n2023-01-01T00:00:00Z\n",
+         "m.csv: metric names: there must be at least one name"),
         ("timestamp,a, a\n2023-01-01T00:00:00Z,1,2\n",
-         "m.csv: duplicate metric names in header"),
+         "m.csv: metric names: name 'a' appears more than once"),
         ("timestamp,a,b\n", "m.csv: no data rows"),
         ("timestamp,a,\n2023-01-01T00:00:00Z,1,2\n",
-         "m.csv: column 3 has an empty metric name"),
+         "m.csv: metric names: name 2 is empty"),
         ("timestamp, ,a\n2023-01-01T00:00:00Z,1,2\n",
-         "m.csv: column 2 has an empty metric name"),
+         "m.csv: metric names: name 1 is empty"),
     ], ids=["empty_file", "blank_first_line", "no_metric_columns",
             "duplicate_after_stripping", "header_only", "empty_last_name",
             "blank_first_name"])
@@ -221,7 +222,9 @@ class TestLoadMetrics:
         path = tmp_path / "m.csv"
         path.write_text(f"timestamp,ok,{name}\n2023-01-01T00:00:00Z,1.0,2.0\n",
                         encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(f"metric column {name!r} holds")):
+        with pytest.raises(DataError, match=re.escape(
+                f"m.csv: metric names: name {name!r} holds a character XML 1.0 "
+                f"cannot hold")):
             load_metrics(str(path))
 
     def test_tab_and_line_breaks_are_names_xml_can_hold(self, tmp_path):

@@ -343,13 +343,14 @@ class TestModelIO:
         assert doc["feature_names"] == ["cpu", "io"]
         doc["feature_names"][1] = "cpu"
         path = self.resealed(doc, tmp_path / "model.json")
-        with pytest.raises(ModelIOError, match="feature name 'cpu' appears more than once"):
+        with pytest.raises(ModelIOError,
+                           match="feature_names: name 'cpu' appears more than once"):
             load_model(path)
         # scoring blames the model (4), not a CSV that matches the fixture (3)
         write_metrics(str(tmp_path / "stats.csv"), fixture_frame())
         assert main(["score", "--model", path, "--stats", str(tmp_path / "stats.csv"),
                      "--out", str(tmp_path / "scores.json")]) == 4
-        assert "feature name 'cpu' appears more than once" in capsys.readouterr().err
+        assert "feature_names: name 'cpu' appears more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("names", ["ci", ["cpu", 7], {"cpu": 0, "io": 1}])
     def test_feature_names_must_be_a_list_of_strings(self, tmp_path, names):
@@ -382,12 +383,12 @@ class TestModelIO:
         doc = json.loads(FIXTURE_MODEL.read_text())
         doc["feature_names"][1] = ""
         path = self.resealed(doc, tmp_path / "model.json")
-        with pytest.raises(ModelIOError, match="feature names cannot be empty"):
+        with pytest.raises(ModelIOError, match="feature_names: name 2 is empty"):
             load_model(path)
         write_metrics(str(tmp_path / "stats.csv"), fixture_frame())
         assert main(["score", "--model", path, "--stats", str(tmp_path / "stats.csv"),
                      "--out", str(tmp_path / "scores.json")]) == 4
-        assert "feature names cannot be empty" in capsys.readouterr().err
+        assert "feature_names: name 2 is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["c\0pu", "c\x1bpu", "c\ufffepu", "c\uffffpu"])
     def test_a_name_xml_cannot_hold_is_a_model_error(self, tmp_path, name):
@@ -395,7 +396,7 @@ class TestModelIO:
         doc["feature_names"][0] = name
         path = self.resealed(doc, tmp_path / "model.json")
         with pytest.raises(ModelIOError, match=re.escape(
-                f"feature name {name!r} holds a character that XML cannot hold")):
+                f"feature_names: name {name!r} holds a character XML 1.0 cannot hold")):
             load_model(path)
 
     @pytest.mark.parametrize("target", [b'"shape": [', b'"data": "', b'"dtype": "<f'])

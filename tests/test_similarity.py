@@ -243,11 +243,11 @@ class TestMatchEvents:
             out = match_events(stat, "sessions", far, 2000, 2010)
         assert out == []
 
-    def test_frame_without_events_ranks_nothing(self, rng):
-        stat, events = frames_for_matching(rng)
-        empty = MetricFrame((), events.timestamps,
-                            np.empty((len(events.timestamps), 0)), kind="event")
-        assert match_events(stat, "sessions", empty, 2000, 2050) == []
+    def test_a_frame_without_events_is_refused(self, rng):
+        _, events = frames_for_matching(rng)
+        with pytest.raises(DataError, match="metric_names: there must be at least one name"):
+            MetricFrame((), events.timestamps, np.empty((len(events.timestamps), 0)),
+                        kind="event")
 
     def test_period_outside_the_stat_series_rejected(self, rng):
         stat, events = frames_for_matching(rng)

@@ -6,11 +6,13 @@ module, class and function docstrings.
 
     python tools/code_lines.py [ROOT]
 
-ROOT defaults to the repository this script lives in.
+ROOT defaults to the repository this script lives in. A ROOT without a
+``src/`` directory exits 2, naming the path.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -43,9 +45,14 @@ def count(text: str) -> tuple[int, int]:
     return len(lines), code
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
-    src = root / "src"
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="the repository to count (default: this script's)")
+    src = parser.parse_args(argv).root / "src"
+    if not src.is_dir():
+        parser.error(f"{src} is not a directory")
     total_lines = total_code = 0
     for path in sorted(src.rglob("*.py")):
         lines, code = count(path.read_text())
@@ -57,4 +64,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

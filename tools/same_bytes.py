@@ -8,17 +8,22 @@ chain then runs once in the parent and once in the working tree this script
 lives in, each in its own output directory and under the same
 ``OPENBLAS_NUM_THREADS`` (``--threads``, default 1):
 
-* ``gen --seed 5 --duration 2880`` into ``data/``;
+* ``gen --seed 5 --duration 2880`` into ``data/``, and with ``--null`` and
+  ``--drift`` into ``null/`` and ``drift/``;
+* ``gen --spec data/scenario.json`` into ``spec/``, which must write the
+  files of ``data/`` byte for byte;
 * for each architecture of ``ARCHITECTURES``, into ``arch<n>/``:
   ``train --epochs 6 --history``, ``score`` to JSON with ``--csv``,
   ``detect``, ``match`` over the top detected group to CSV and to JSON, and
-  ``report --events``.
+  ``report --events``;
+* ``ablate --epochs 2`` over the first two of ``ARCHITECTURES`` to
+  ``ablate.json``.
 
 Every file the chain writes is printed as equal or differing, with its
 sha256. A change that moves bytes on purpose names each such file, as
 printed, with ``--expect``. The exit status is 0 when every other file is
 equal, 1 when one differs or is written on one side only, and 2 when the
-export or a command of the chain fails.
+export or a command of the chain fails, or ``spec/`` differs from ``data/``.
 """
 
 from __future__ import annotations
@@ -55,7 +60,14 @@ def run_chain(tree: Path, out: Path, threads: int) -> None:
             raise ChainError(f"{tree}: dbdiag {' '.join(args)} exited "
                              f"{done.returncode}: {done.stderr.strip()}")
 
-    dbdiag("gen", "--out-dir", "data", "--seed", "5", "--duration", "2880")
+    scenario = ("--seed", "5", "--duration", "2880")
+    dbdiag("gen", "--out-dir", "data", *scenario)
+    dbdiag("gen", "--out-dir", "null", *scenario, "--null")
+    dbdiag("gen", "--out-dir", "drift", *scenario, "--drift")
+    dbdiag("gen", "--out-dir", "spec", "--spec", "data/scenario.json")
+    if digests(out / "spec") != digests(out / "data"):
+        raise ChainError(f"{tree}: gen --spec data/scenario.json did not write "
+                         f"the files of data/")
     data = ("--stats", "data/stats.csv")
     for number, arch in enumerate(ARCHITECTURES, start=1):
         run = f"arch{number}"
@@ -77,6 +89,8 @@ def run_chain(tree: Path, out: Path, threads: int) -> None:
                    "--end", top["end"], "--out", f"{run}/{name}")
         dbdiag("report", *data, *model, "--events", "data/events.csv",
                "--out-dir", f"{run}/report", "--quiet")
+    dbdiag("ablate", *data, "--architectures", ";".join(ARCHITECTURES[:2]),
+           "--epochs", "2", "--out", "ablate.json")
 
 
 def digests(root: Path) -> dict[str, str]:
