@@ -56,12 +56,6 @@ _FIELD_OF_FLAG = {"window": "window_steps", "epochs": "max_epochs",
                   "sigma": "sigma_k", "margin": "match_margin"}
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    # --config supplies defaults for tuning options; explicit flags win.
-    sp.add_argument("--config", help="JSON file of option defaults (flag names with "
-                                     "underscores); explicit flags override it")
-
-
 def _add_train_options(sp: argparse.ArgumentParser) -> None:
     """The TrainConfig options that train and ablate share."""
     sp.add_argument("--window", type=int, default=_TRAIN.window_steps,
@@ -121,7 +115,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="add per-feature level drift (non-stationary variant)")
     sp.add_argument("--spec",
                     help="scenario JSON (mutually exclusive with the other knobs)")
-    _add_common(sp)
 
     sp = sub.add_parser("train", help="fit a detector on a metric CSV")
     sp.add_argument("--stats", required=True, help="metric CSV to train on")
@@ -134,7 +127,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--history",
                     help="also write per-epoch history JSON here")
     sp.add_argument("--verbose", action="store_true")
-    _add_common(sp)
 
     sp = sub.add_parser("score", help="score a metric CSV with a trained model")
     sp.add_argument("--model", required=True)
@@ -142,7 +134,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--out", required=True, help="output scores JSON")
     sp.add_argument("--csv", help="also write scores as CSV")
     sp.add_argument("--stride", type=int, default=1)
-    _add_common(sp)
 
     sp = sub.add_parser("detect", help="find anomaly periods in a score series")
     sp.add_argument("--scores", required=True, help="scores JSON from 'score'")
@@ -153,7 +144,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="unflagged windows allowed inside one period")
     sp.add_argument("--baseline",
                     help="fit limits on this scores JSON instead of the scored series")
-    _add_common(sp)
 
     sp = sub.add_parser("match", help="rank wait events against a metric over a period")
     sp.add_argument("--stats", required=True)
@@ -167,7 +157,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="extra minutes after the period")
     sp.add_argument("--top", type=int, default=10)
     sp.add_argument("--out", help="write matches JSON here")
-    _add_common(sp)
 
     sp = sub.add_parser("report", help="full diagnosis: score, detect, rank, chart")
     sp.add_argument("--model", required=True)
@@ -181,7 +170,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--margin", type=int, default=_REPORT.match_margin)
     sp.add_argument("--stride", type=int, default=1)
     sp.add_argument("--quiet", action="store_true")
-    _add_common(sp)
 
     sp = sub.add_parser("ablate", help="train several architectures on one data set")
     sp.add_argument("--stats", required=True)
@@ -189,8 +177,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="semicolon-separated list (default: the built-in comparison set)")
     _add_train_options(sp)
     sp.add_argument("--out", help="write results JSON here")
-    _add_common(sp)
 
+    # --config supplies defaults for tuning options; explicit flags win.
+    for sp in sub.choices.values():
+        sp.add_argument("--config", help="JSON file of option defaults (flag names with "
+                                         "underscores); explicit flags override it")
     return parser, sub.choices
 
 

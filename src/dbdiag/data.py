@@ -17,6 +17,7 @@ import base64
 import csv
 import hashlib
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -86,8 +87,7 @@ class MetricFrame:
         mask = (self.timestamps >= start) & (self.timestamps < end)
         if not np.any(mask):
             raise DataError(f"no samples in minute range [{start}, {end})")
-        return MetricFrame(self.metric_names, self.timestamps[mask],
-                           self.values[mask], self.kind)
+        return replace(self, timestamps=self.timestamps[mask], values=self.values[mask])
 
 
 def stamps_to_minutes(texts, rows=None) -> np.ndarray:
@@ -245,6 +245,26 @@ def json_number(value, key: str, error: type[DiagError]) -> int | float:
     if type(value) not in (int, float):
         raise error(f"{key} must be a number, got {value!r}")
     return value
+
+
+def finite(number) -> bool:
+    """``math.isfinite``, with an integer too large for a float counted as
+    not finite."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+def check_least(config, least: dict[str, int]) -> None:
+    """Each field of ``config`` that ``least`` names must be a JSON integer
+    (``json_int``) of at least its value there; else ``ConfigError`` names
+    the field, in ``least``'s order."""
+    for name, low in least.items():
+        value = json_int(getattr(config, name), name, ConfigError)
+        if value < low:
+            rule = "cannot be negative" if low == 0 else f"must be at least {low}"
+            raise ConfigError(f"{name} {rule}, got {value}")
 
 
 def check_names(names, error: type[DiagError], what: str) -> tuple[str, ...]:
@@ -463,13 +483,15 @@ def decode_array(entry: dict) -> np.ndarray:
 
 
 def read_json(path: str, error: type[DiagError]):
-    """Parse a JSON file; an unreadable or invalid one raises ``error``."""
+    """Parse a JSON file; an unreadable or invalid one raises ``error``.
+    Invalid covers text that is not UTF-8 or not JSON, and an integer
+    literal longer than Python reads (4,300 digits)."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise error(f"cannot open {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise error(f"{path} is not valid JSON: {exc}") from None
 
 

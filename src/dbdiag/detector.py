@@ -22,12 +22,15 @@ from .data import (
     GlobalNorm,
     MetricFrame,
     WindowSet,
+    check_least,
     check_names,
     check_split,
     decode_array,
     encode_array,
+    finite,
     json_checksum,
     json_int,
+    json_number,
     make_windows,
     minutes_to_iso,
     name_list,
@@ -81,22 +84,14 @@ class TrainConfig:
 
     def __post_init__(self):
         parse_architecture(self.architecture)
-        if self.window_steps < 2:
-            raise ConfigError(f"window_steps must be at least 2, got {self.window_steps}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be at least 1, got {self.stride}")
-        if self.seed < 0:
-            raise ConfigError(f"seed cannot be negative, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be at least 1, got {self.patience}")
-        if not 0.0 < self.learning_rate < np.inf:
+        check_least(self, {"window_steps": 2, "stride": 1, "seed": 0, "batch_size": 1,
+                           "max_epochs": 1, "patience": 1})
+        rate = json_number(self.learning_rate, "learning_rate", ConfigError)
+        if not (finite(rate) and rate > 0):
             raise ConfigError(f"learning_rate must be finite and positive, "
                               f"got {self.learning_rate}")
-        if not 0.0 <= self.l2_lambda < np.inf:
+        l2 = json_number(self.l2_lambda, "l2_lambda", ConfigError)
+        if not (finite(l2) and l2 >= 0):
             raise ConfigError(f"l2_lambda must be finite and not negative, "
                               f"got {self.l2_lambda}")
         check_split(self.split)

@@ -15,7 +15,8 @@ import os
 from dataclasses import asdict, dataclass
 
 from .charts import control_chart_svg, overlay_svg
-from .data import MetricFrame, json_text, load_metrics, minute_to_iso
+from .data import (MetricFrame, check_least, finite, json_number, json_text,
+                   load_metrics, minute_to_iso)
 from .detector import ScoreSeries, load_model, model_digest
 from .errors import ConfigError, DataError
 from .similarity import match_events
@@ -34,16 +35,11 @@ class ReportConfig:
     match_margin: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_k < float("inf"):
+        sigma_k = json_number(self.sigma_k, "sigma_k", ConfigError)
+        if not (finite(sigma_k) and sigma_k > 0):
             raise ConfigError(f"sigma_k must be finite and positive, got {self.sigma_k}")
-        if self.gap_tolerance < 0:
-            raise ConfigError(f"gap_tolerance cannot be negative, "
-                              f"got {self.gap_tolerance}")
-        if self.top_periods < 1 or self.top_events < 1:
-            raise ConfigError("top_periods and top_events must be at least 1")
-        if self.match_margin < 0:
-            raise ConfigError(f"match_margin cannot be negative, "
-                              f"got {self.match_margin}")
+        check_least(self, {"gap_tolerance": 0, "top_periods": 1, "top_events": 1,
+                           "match_margin": 0})
 
     def to_dict(self) -> dict:
         return asdict(self)

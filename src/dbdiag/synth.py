@@ -11,13 +11,12 @@ spec always yields byte-identical series.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .data import (FIRST_MINUTE, LAST_MINUTE, MetricFrame, check_names, json_int,
-                   json_number, name_list, read_json, write_json)
+from .data import (FIRST_MINUTE, LAST_MINUTE, MetricFrame, check_least, check_names,
+                   finite, json_int, json_number, name_list, read_json, write_json)
 from .errors import ConfigError
 
 DEFAULT_STAT_FEATURES = (
@@ -101,6 +100,11 @@ class Injection:
     ``couple`` bleeds a scaled copy of the shape into other features, the way
     a lock pile-up also inflates the active-session count. ``linked_events``
     name wait events that receive a visible bump 1 to 3 minutes later.
+
+    An injection is checked when it is made: a known kind, JSON-integer
+    offset and duration (at least 1 minute), a positive finite JSON-number
+    magnitude (kept as a float) and coupling fractions in (0, 1]. The rules
+    that need the scenario are ``ScenarioSpec``'s.
     """
 
     kind: str
@@ -111,17 +115,32 @@ class Injection:
     linked_events: tuple[str, ...] = ()
     couple: tuple[tuple[str, float], ...] = ()
 
+    def __post_init__(self):
+        if self.kind not in INJECTION_KINDS:
+            raise ConfigError(f"unknown injection kind {self.kind!r}; "
+                              f"expected one of {', '.join(INJECTION_KINDS)}")
+        json_int(self.offset, "injection offset", ConfigError)
+        if json_int(self.duration, "injection duration", ConfigError) < 1:
+            raise ConfigError(f"injection duration must be at least 1 minute, "
+                              f"got {self.duration}")
+        magnitude = json_number(self.magnitude, "injection magnitude", ConfigError)
+        if not (finite(magnitude) and magnitude > 0):
+            raise ConfigError(f"injection magnitude must be positive and finite, "
+                              f"got {magnitude}")
+        object.__setattr__(self, "magnitude", float(magnitude))
+        for name, frac in self.couple:
+            if not 0.0 < json_number(frac, f"injection couple.{name}", ConfigError) <= 1.0:
+                raise ConfigError(f"coupling fraction must be in (0, 1], got {frac}")
+
     def shape(self) -> np.ndarray:
         u = np.arange(self.duration, dtype=np.float64) / self.duration
         if self.kind == "spike":
             return self.magnitude * np.exp(-3.0 * u)
         if self.kind == "shift":
             return np.full(self.duration, self.magnitude)
-        if self.kind == "ramp":
-            if self.duration == 1:
-                return np.array([self.magnitude])
-            return self.magnitude * np.arange(self.duration) / (self.duration - 1)
-        raise ConfigError(f"unknown injection kind {self.kind!r}")
+        if self.duration == 1:  # a one-minute ramp
+            return np.array([self.magnitude])
+        return self.magnitude * np.arange(self.duration) / (self.duration - 1)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "feature": self.feature, "offset": self.offset,
@@ -135,15 +154,12 @@ class Injection:
             return cls(
                 kind=payload["kind"],
                 feature=payload["feature"],
-                offset=json_int(payload["offset"], "injection offset", ConfigError),
-                duration=json_int(payload["duration"], "injection duration", ConfigError),
-                magnitude=float(json_number(payload["magnitude"], "injection magnitude",
-                                            ConfigError)),
+                offset=payload["offset"],
+                duration=payload["duration"],
+                magnitude=payload["magnitude"],
                 linked_events=name_list(payload.get("linked_events", []),
                                         "linked_events", ConfigError),
-                couple=tuple(sorted(
-                    (name, json_number(frac, f"injection couple.{name}", ConfigError))
-                    for name, frac in dict(payload.get("couple", {})).items())),
+                couple=tuple(sorted(dict(payload.get("couple", {})).items())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed injection: {exc}") from None
@@ -151,6 +167,11 @@ class Injection:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario to generate, checked when it is made: JSON-integer seed,
+    length and start, minutes in the years 1 to 9999, feature and event names
+    that keep the metric-name rule, injections that fit the scenario and do
+    not overlap on one feature, and finite baselines."""
+
     seed: int = 0
     duration_minutes: int = 10_800
     start_minute: int = DEFAULT_START_MINUTE
@@ -160,11 +181,8 @@ class ScenarioSpec:
     baselines: tuple[tuple[str, Baseline], ...] = ()
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed cannot be negative, got {self.seed}")
-        if self.duration_minutes < 2:
-            raise ConfigError(f"duration must be at least 2 minutes, "
-                              f"got {self.duration_minutes}")
+        check_least(self, {"seed": 0, "duration_minutes": 2})
+        json_int(self.start_minute, "start_minute", ConfigError)
         last = self.start_minute + self.duration_minutes - 1
         if not FIRST_MINUTE <= self.start_minute <= last <= LAST_MINUTE:
             raise ConfigError(f"scenario minutes {self.start_minute} to {last} fall "
@@ -174,17 +192,8 @@ class ScenarioSpec:
         check_names(self.events, ConfigError, "events")
         spans: dict[str, list[tuple[int, int]]] = {}
         for inj in self.injections:
-            if inj.kind not in INJECTION_KINDS:
-                raise ConfigError(f"unknown injection kind {inj.kind!r}; "
-                                  f"expected one of {', '.join(INJECTION_KINDS)}")
             if inj.feature not in self.features:
                 raise ConfigError(f"injection targets unknown feature {inj.feature!r}")
-            if inj.duration < 1:
-                raise ConfigError(f"injection duration must be at least 1 minute, "
-                                  f"got {inj.duration}")
-            if not 0.0 < inj.magnitude < math.inf:
-                raise ConfigError(f"injection magnitude must be positive and finite, "
-                                  f"got {inj.magnitude}")
             if inj.offset < 0 or inj.offset + inj.duration > self.duration_minutes:
                 raise ConfigError(
                     f"injection on {inj.feature} at offset {inj.offset} for "
@@ -193,11 +202,9 @@ class ScenarioSpec:
             for name in inj.linked_events:
                 if name not in self.events:
                     raise ConfigError(f"linked event {name!r} is not in the event pool")
-            for name, frac in inj.couple:
+            for name, _ in inj.couple:
                 if name not in self.features:
                     raise ConfigError(f"coupled feature {name!r} is unknown")
-                if not 0.0 < frac <= 1.0:
-                    raise ConfigError(f"coupling fraction must be in (0, 1], got {frac}")
             span = (inj.offset, inj.offset + inj.duration)
             for other in spans.get(inj.feature, ()):
                 if span[0] < other[1] and other[0] < span[1]:
@@ -209,8 +216,7 @@ class ScenarioSpec:
                 raise ConfigError(f"baseline for unknown feature {name!r}")
             for item in fields(Baseline):
                 value = getattr(base, item.name)
-                if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                        or not math.isfinite(value)):
+                if type(value) not in (int, float) or not finite(value):
                     raise ConfigError(f"baseline {name}.{item.name} must be a finite "
                                       f"number, got {value!r}")
             if base.noise_sigma < 0:
@@ -218,11 +224,9 @@ class ScenarioSpec:
                                   f"got {base.noise_sigma}")
 
     def baseline_for(self, feature: str) -> Baseline:
-        for name, base in self.baselines:
-            if name == feature:
-                return base
-        if feature in DEFAULT_BASELINES:
-            return DEFAULT_BASELINES[feature]
+        baselines = {**DEFAULT_BASELINES, **dict(self.baselines)}
+        if feature in baselines:
+            return baselines[feature]
         return _default_baseline(self.features.index(feature))
 
     def to_dict(self) -> dict:
@@ -245,11 +249,9 @@ class ScenarioSpec:
                 (name, Baseline(**vals))
                 for name, vals in sorted(payload.get("baselines", {}).items()))
             return cls(
-                seed=json_int(payload.get("seed", 0), "seed", ConfigError),
-                duration_minutes=json_int(payload["duration_minutes"], "duration_minutes",
-                                          ConfigError),
-                start_minute=json_int(payload.get("start_minute", DEFAULT_START_MINUTE),
-                                      "start_minute", ConfigError),
+                seed=payload.get("seed", 0),
+                duration_minutes=payload["duration_minutes"],
+                start_minute=payload.get("start_minute", DEFAULT_START_MINUTE),
                 features=name_list(payload.get("features", [*DEFAULT_STAT_FEATURES]),
                                    "features", ConfigError),
                 events=name_list(payload.get("events", [*EVENT_POOL]), "events",
@@ -377,8 +379,7 @@ def drift_scenario(seed: int = 13, duration_minutes: int = 10_800) -> ScenarioSp
     for name in base.features:
         b = base.baseline_for(name)
         slope = DRIFT_FACTOR * b.daily_amplitude / duration_minutes
-        drifted.append((name, Baseline(b.level, b.daily_amplitude, slope,
-                                       b.noise_sigma, b.phase)))
+        drifted.append((name, replace(b, trend_slope=slope)))
     return ScenarioSpec(seed=seed, duration_minutes=duration_minutes,
                         injections=base.injections, baselines=tuple(drifted))
 

@@ -106,8 +106,8 @@ class TestExitCodes:
         assert "state entry 2:dense.weights holds inf" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["model.json"]
 
-    @pytest.mark.parametrize("content", [None, "{not json"],
-                             ids=["missing", "invalid"])
+    @pytest.mark.parametrize("content", [None, "{not json", "9" * 5000],
+                             ids=["missing", "invalid", "overlong_integer"])
     @pytest.mark.parametrize("reader,code", [
         ("score --model", 4), ("detect --scores", 4), ("detect --baseline", 4),
         ("gen --spec", 2), ("--config", 2)])
@@ -188,8 +188,13 @@ class TestExitCodes:
         ({"baseline": {"noise_sigma": -1}},
          "baseline cpu_used.noise_sigma cannot be negative, got -1"),
         ({"feature": "nosuch"}, "baseline for unknown feature 'nosuch'"),
+        ({"magnitude": 10**400},
+         f"injection magnitude must be positive and finite, got {10**400}"),
+        ({"baseline": {"level": 10**400}},
+         f"baseline cpu_used.level must be a finite number, got {10**400}"),
     ], ids=["nan_magnitude", "infinite_magnitude", "string_level", "nan_level",
-            "boolean_phase", "negative_noise", "unknown_feature"])
+            "boolean_phase", "negative_noise", "unknown_feature", "overlong_magnitude",
+            "overlong_level"])
     def test_a_spec_that_cannot_be_written_as_data_is_usage(self, tmp_path, capsys,
                                                             edit, message):
         baseline = {"level": 1, "daily_amplitude": 1, "trend_slope": 0,
