@@ -35,9 +35,12 @@ LAST_MINUTE = int(datetime(9999, 12, 31, 23, 59, tzinfo=timezone.utc).timestamp(
 _TIMEZONE_WARNING = "no explicit representation of timezones"
 _NO_DATA_WARNING = "loadtxt: input contained no data"
 # What XML 1.0 cannot hold, even as a character reference: the C0 controls
-# other than tab, LF and CR, and U+FFFE and U+FFFF. Metric names become chart
-# text, so no name may hold one (check_names).
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# other than tab, LF and CR, the surrogates (which have no UTF-8 form either),
+# and U+FFFE and U+FFFF. Metric names become chart text, so no name may hold
+# one (check_names).
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# the longest file name, in bytes, that common file systems take (NAME_MAX)
+_NAME_MAX = 255
 # the rows write_minute_csv formats and writes at a time
 _CSV_BLOCK_ROWS = 1024
 
@@ -111,32 +114,32 @@ def stamps_to_minutes(texts, rows=None) -> np.ndarray:
     dated &= codes[:, 4] == ord("-")
     canonical, canonical_minutes = _canonical_minutes(texts, codes)
     iso = dated & ~canonical
-    minutes, rem = np.empty(len(texts)), np.empty(len(texts))
+    minutes, rem, unread = np.empty(len(texts)), np.empty(len(texts)), np.zeros_like(dated)
     minutes[canonical], rem[canonical] = canonical_minutes, 0.0
-    try:
-        with np.errstate(invalid="ignore"):  # inf and nan give a nan remainder
-            minutes[~dated], rem[~dated] = np.divmod(texts[~dated].astype(np.float64), 60.0)
-        minutes[iso], rem[iso] = np.divmod(_iso_micros(texts[iso]), 60_000_000)
-    except ValueError:
-        # bisect for the first stamp that does not read: the stamps before
-        # index ``good`` read, those before ``fails`` do not
-        good, fails = 0, len(texts)
-        while fails - good > 1:
-            mid = (good + fails) // 2
-            good, fails = ((mid, fails) if _reads(texts[:mid], dated[:mid], iso[:mid])
-                           else (good, mid))
-        first = good
-        stamps_to_minutes(texts[:first], rows)  # an earlier stamp may be bad in another way
-        raise _timestamp_error("unparseable timestamp {}", texts[first],
-                               None if rows is None else rows[first]) from None
+    with np.errstate(invalid="ignore"):  # inf and nan give a nan remainder
+        for form, read in ((~dated, lambda s: np.divmod(s.astype(np.float64), 60.0)),
+                           (iso, lambda s: np.divmod(_iso_micros(s), 60_000_000))):
+            try:
+                minutes[form], rem[form] = read(texts[form])
+            except ValueError:
+                # one at a time up to the first that does not read: no later
+                # stamp of this form can be the first bad one
+                for i in np.flatnonzero(form):
+                    try:
+                        minutes[i:i + 1], rem[i:i + 1] = read(texts[i:i + 1])
+                    except ValueError:
+                        unread[i] = True
+                        break
     misaligned = rem != 0.0
     inside = (minutes >= FIRST_MINUTE) & (minutes <= LAST_MINUTE)
-    bad = np.flatnonzero(misaligned | ~inside)
+    bad = np.flatnonzero(unread | misaligned | ~inside)
     if bad.size:
         i = bad[0]
-        raise _timestamp_error("timestamp {} is not minute-aligned" if misaligned[i] else
-                               "timestamp {} is outside the years 1 to 9999", texts[i],
-                               None if rows is None else rows[i])
+        rule = ("unparseable timestamp {}" if unread[i] else
+                "timestamp {} is not minute-aligned" if misaligned[i] else
+                "timestamp {} is outside the years 1 to 9999")
+        where = "" if rows is None else f" in row {rows[i]}"
+        raise DataError(rule.format(f"{str(texts[i])!r}{where}"))
     return minutes.astype(np.int64)
 
 
@@ -206,23 +209,6 @@ def _iso_micros(stamps: np.ndarray) -> np.ndarray:
         return stamps.astype("datetime64[us]").astype(np.int64)
 
 
-def _reads(texts: np.ndarray, dated: np.ndarray, iso: np.ndarray) -> bool:
-    """Whether every stamp gets through the conversion its form selects; a
-    canonical stamp (dated but not ``iso``) always does."""
-    try:
-        texts[~dated].astype(np.float64)
-        _iso_micros(texts[iso])
-        return True
-    except ValueError:
-        return False
-
-
-def _timestamp_error(message: str, text: str, row: int | None) -> DataError:
-    # built only on failure, so a CSV row does not pay for its error text
-    where = "" if row is None else f" in row {row}"
-    return DataError(message.format(f"{str(text)!r}{where}"))
-
-
 def name_list(value, key: str, error: type[DiagError]) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; anything else, a string included,
     raises ``error`` naming ``key``."""
@@ -269,11 +255,13 @@ def check_least(config, least: dict[str, int]) -> None:
 
 def check_names(names, error: type[DiagError], what: str) -> tuple[str, ...]:
     """``names`` as a tuple, if a CSV header carries each of them back
-    unchanged: there is at least one name, and no name is empty, has
-    surrounding whitespace, appears twice or holds a character XML 1.0 cannot
-    hold. Otherwise raises ``error``, led by ``what``, naming the first bad
-    name and the rule it breaks. Every place a name enters calls this: a
-    ``MetricFrame``, a CSV header, a model or score file and a scenario spec.
+    unchanged and each can name a chart file: there is at least one name, and
+    no name is empty, has surrounding whitespace, appears twice, holds a
+    character XML 1.0 cannot hold or has a ``chart_file_name`` of more than
+    255 UTF-8 bytes. Otherwise raises ``error``, led by ``what``, naming the
+    first bad name and the rule it breaks. Every place a name enters calls
+    this: a ``MetricFrame``, a CSV header, a model or score file and a
+    scenario spec.
     """
     names = tuple(names)
     if not names:
@@ -283,11 +271,24 @@ def check_names(names, error: type[DiagError], what: str) -> tuple[str, ...]:
         rule = ("is empty" if not name else
                 "has surrounding whitespace" if name != name.strip() else
                 "appears more than once" if name in seen else
-                "holds a character XML 1.0 cannot hold" if _NOT_XML.search(name) else "")
+                "holds a character XML 1.0 cannot hold" if _NOT_XML.search(name) else
+                f"gives a chart file name of more than {_NAME_MAX} bytes"
+                if len(chart_file_name(name).encode()) > _NAME_MAX else "")
         if rule:
             raise error(f"{what}: name {repr(name) if name else number} {rule}")
         seen.add(name)
     return names
+
+
+def chart_file_name(feature: str) -> str:
+    """``chart_<feature>.svg`` with ``%`` and ``/`` percent-encoded.
+
+    ``/`` is the one character of a metric name that a POSIX file name
+    cannot hold (``check_names`` refuses NUL, and a name whose chart file name
+    is too long), and ``%`` is encoded first so that no two feature names
+    share a file.
+    """
+    return f"chart_{feature.replace('%', '%25').replace('/', '%2F')}.svg"
 
 
 def load_metrics(path: str, kind: str = "stat") -> MetricFrame:

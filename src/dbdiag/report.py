@@ -15,8 +15,8 @@ import os
 from dataclasses import asdict, dataclass
 
 from .charts import control_chart_svg, overlay_svg
-from .data import (MetricFrame, check_least, finite, json_number, json_text,
-                   load_metrics, minute_to_iso)
+from .data import (MetricFrame, chart_file_name, check_least, finite, json_number,
+                   json_text, load_metrics, minute_to_iso)
 from .detector import ScoreSeries, load_model, model_digest
 from .errors import ConfigError, DataError
 from .similarity import match_events
@@ -52,18 +52,6 @@ def _frame_summary(frame: MetricFrame) -> dict:
         "rows": int(len(frame.timestamps)),
         "metrics": list(frame.metric_names),
     }
-
-
-def chart_file_name(feature: str) -> str:
-    """``chart_<feature>.svg`` with ``%`` and ``/`` percent-encoded.
-
-    ``/`` is the one character of a metric name that a POSIX file name
-    cannot hold (``check_names`` refuses NUL), and ``%`` is encoded first so
-    that no two feature names share a file.
-    """
-    for char, code in (("%", "%25"), ("/", "%2F")):
-        feature = feature.replace(char, code)
-    return f"chart_{feature}.svg"
 
 
 def build_report(scores: ScoreSeries, stat_frame: MetricFrame,

@@ -135,13 +135,16 @@ def detect(scores: ScoreSeries, k: float = DEFAULT_SIGMA_K, gap_tolerance: int =
     """Chart every feature and extract its anomaly periods.
 
     Limits come from ``baseline`` scores when given (e.g. a clean reference
-    range) and from the scored series itself otherwise. NaN and inf scores
-    are refused: a NaN never exceeds a limit, so it would pass unflagged.
+    range), which must be of the same window length and features, and from
+    the scored series itself otherwise. NaN and inf scores are refused: a NaN
+    never exceeds a limit, so it would pass unflagged.
     """
-    if baseline is not None and baseline.feature_names != scores.feature_names:
+    if baseline is not None and ((baseline.window_steps, baseline.feature_names)
+                                 != (scores.window_steps, scores.feature_names)):
         raise DataError(
-            f"baseline features [{', '.join(baseline.feature_names)}] do not match "
-            f"scored features [{', '.join(scores.feature_names)}]")
+            f"baseline {baseline.window_steps}-minute windows of "
+            f"[{', '.join(baseline.feature_names)}] do not match scored "
+            f"{scores.window_steps}-minute windows of [{', '.join(scores.feature_names)}]")
     bad = np.argwhere(~np.isfinite(scores.scores))
     if bad.size:
         i, j = bad[0]

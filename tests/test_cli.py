@@ -153,9 +153,17 @@ class TestExitCodes:
          "feature_names must be a JSON list of strings"),
         (lambda doc: doc["feature_names"].__setitem__(2, ""),
          "feature_names: name 3 is empty"),
+        (lambda doc: doc.update(format="dbdiag-detections"),
+         "not a score file (format 'dbdiag-detections')"),
+        (lambda doc: doc.update(format_version=99), "unsupported score format version 99"),
+        (lambda doc: doc.pop("scores"), "malformed score file: 'scores'"),
+        (lambda doc: doc.update(window_starts=doc["window_starts"][:2],
+                                scores=[[0.5] * 5] * 2),
+         "score matrix shape (2, 5) does not match 2 windows x 6 features"),
     ], ids=["reversed_starts", "one_step_windows", "fractional_window_steps",
             "string_window_steps", "boolean_window_steps", "repeated_feature_name",
-            "control_character_in_name", "string_feature_names", "empty_feature_name"])
+            "control_character_in_name", "string_feature_names", "empty_feature_name",
+            "other_format", "other_format_version", "missing_key", "shape_mismatch"])
     def test_malformed_scores_are_model_errors(self, pipeline, tmp_path, capsys,
                                                edit, message):
         scores = tmp_path / "scores.json"
@@ -168,6 +176,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "det.json")])
         assert rc == 4
         assert message in capsys.readouterr().err
+
+    def test_a_baseline_of_another_window_length_is_a_data_error(self, pipeline, tmp_path,
+                                                                 capsys):
+        scores, baseline = tmp_path / "scores.json", tmp_path / "baseline.json"
+        assert main(["score", "--model", pipeline["model"],
+                     "--stats", pipeline["stats"], "--out", str(scores)]) == 0
+        doc = json.loads(scores.read_text())
+        baseline.write_text(json.dumps({**doc, "window_steps": 5}))
+        out = tmp_path / "det.json"
+        assert main(["detect", "--scores", str(scores), "--baseline", str(baseline),
+                     "--out", str(out)]) == 3
+        names = ", ".join(doc["feature_names"])
+        assert capsys.readouterr().err == (
+            f"error: baseline 5-minute windows of [{names}] do not match "
+            f"scored 30-minute windows of [{names}]\n")
+        assert not out.exists()
 
     def test_a_spec_name_list_given_as_a_string_is_usage(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -494,6 +518,13 @@ class TestExitCodes:
         assert "missing" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
+    def test_an_empty_output_path_is_usage(self, tmp_path, capsys):
+        # a path that ends in "/" is refused as a directory or for its
+        # parent; only the empty path gets this far
+        assert main(["detect", "--scores", str(tmp_path / "missing.json"),
+                     "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: cannot write '': it names no file\n"
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
     def test_a_gen_out_dir_that_is_not_a_directory_is_usage(self, tmp_path, capsys,
                                                             under):
@@ -613,6 +644,23 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "report.txt"))
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["model"]["architecture"] == "BTN-(16)-(6)-(16*)-BTN*"
+
+    def test_events_over_other_minutes_give_a_matching_failure_line(self, pipeline,
+                                                                    tmp_path):
+        """An events CSV without every other minute of the stats cannot be
+        matched over any period; report.txt says so under each period."""
+        head, *rows = open(pipeline["events"]).read().splitlines()
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join([head, *rows[::2]]) + "\n")
+        out = tmp_path / "report"
+        assert main(["report", "--model", pipeline["model"], "--stats", pipeline["stats"],
+                     "--events", str(events), "--out-dir", str(out), "--quiet"]) == 0
+        text = (out / "report.txt").read_text()
+        periods = json.loads((out / "report.json").read_text())["anomaly_periods"]
+        assert periods
+        assert text.count("\n    event matching failed: metric and event series cover "
+                          "different minutes over the period; align them before "
+                          "matching\n") == len(periods)
 
     def test_report_charts_of_odd_names_are_on_disk_and_parse(self, pipeline, tmp_path):
         """A header that cannot be a file name or XML text as it is still gives

@@ -35,9 +35,11 @@ BAD_NAMES = [
     (("a", "a\ufffeb"), "name 'a\\ufffeb' holds a character XML 1.0 cannot hold", None),
     (("a", "b", "a"), "name 'a' appears more than once", None),
     ((), "there must be at least one name", None),
+    (("a", "x" * 246), f"name '{'x' * 246}' gives a chart file name of more than 255 bytes",
+     None),
 ]
 IDS = ["empty", "leading_space", "trailing_space", "nul", "unit_separator",
-       "non_character", "duplicate", "no_names"]
+       "non_character", "duplicate", "no_names", "too_long_for_a_file_name"]
 
 # a comma, a quote, an inner space, %, /, non-ASCII and an inner tab
 AWKWARD_NAMES = ("a,b", 'say "hi"', "inner space", "50%", "cpu/used", "café", "a\tb")
@@ -98,6 +100,27 @@ class TestEveryEntryPointRefuses:
 def test_the_rule_returns_the_names_as_a_tuple():
     assert check_names(["b", "a"], ConfigError, "names") == ("b", "a")
     assert check_names(iter(AWKWARD_NAMES), ConfigError, "names") == AWKWARD_NAMES
+
+
+def test_a_chart_file_name_of_255_bytes_is_the_longest_allowed():
+    # chart_ + name + .svg, with % and / taking three bytes and é two
+    longest = ("a" * 245, "%" * 81 + "aa", "/" * 81 + "bb", "é" * 122 + "a")
+    assert check_names(longest, ConfigError, "names") == longest
+    for name in ("a" * 246, "%" * 82, "/" * 82, "é" * 123):
+        with pytest.raises(ConfigError, match="gives a chart file name of more than 255"):
+            check_names(["a", name], ConfigError, "names")
+
+
+def test_a_lone_surrogate_is_refused(tmp_path, capsys):
+    """A surrogate has no UTF-8 form, so no CSV, SVG or file name can hold it."""
+    with pytest.raises(DataError, match="holds a character XML 1.0 cannot hold"):
+        MetricFrame(("a", "b\ud800"), minutes(3), np.ones((3, 2)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"duration_minutes": 100, "features": ["a", "b\udfff"]}))
+    assert main(["gen", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "error: features: name 'b\\udfff' holds a character XML 1.0 cannot hold\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_awkward_names_survive_a_csv_a_model_and_scoring(tmp_path):

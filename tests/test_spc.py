@@ -131,6 +131,13 @@ class TestDetect:
             detect(series_of(np.ones(10)),
                    baseline=series_of(np.ones(10), features=("other",)))
 
+    def test_baseline_window_length_mismatch_rejected(self):
+        # limits fitted on 5-minute windows mean nothing for 30-minute ones
+        with pytest.raises(DataError) as caught:
+            detect(series_of(np.ones(10)), baseline=series_of(np.ones(10), steps=5))
+        assert str(caught.value) == ("baseline 5-minute windows of [f] do not match "
+                                     "scored 30-minute windows of [f]")
+
     def test_all_periods_orders_by_peak(self):
         scores = np.column_stack([
             np.concatenate([np.zeros(50), [5.0], np.zeros(49)]),

@@ -14,8 +14,9 @@ lives in, each in its own output directory and under the same
   files of ``data/`` byte for byte;
 * for each architecture of ``ARCHITECTURES``, into ``arch<n>/``:
   ``train --epochs 6 --history``, ``score`` to JSON with ``--csv``,
-  ``detect``, ``match`` over the top detected group to CSV and to JSON, and
-  ``report --events``;
+  ``detect``, ``score --stats null/stats.csv`` and ``detect --baseline``
+  over those null scores, ``match`` over the top detected group to CSV and
+  to JSON, and ``report --events``;
 * ``ablate --epochs 2`` over the first two of ``ARCHITECTURES`` to
   ``ablate.json``.
 
@@ -79,6 +80,11 @@ def run_chain(tree: Path, out: Path, threads: int) -> None:
                "--csv", f"{run}/scores.csv")
         dbdiag("detect", "--scores", f"{run}/scores.json",
                "--out", f"{run}/detections.json")
+        dbdiag("score", "--stats", "null/stats.csv", *model,
+               "--out", f"{run}/null_scores.json")
+        dbdiag("detect", "--scores", f"{run}/scores.json",
+               "--baseline", f"{run}/null_scores.json",
+               "--out", f"{run}/baseline_detections.json")
         groups = json.loads((out / run / "detections.json").read_text())["groups"]
         if not groups:
             raise ChainError(f"{tree}: {arch} detected no period to match over")
