@@ -295,18 +295,19 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     """Read a metric CSV. Header: ``timestamp,<name>,...``; body rows carry
     a timestamp (see ``stamps_to_minutes``) plus one numeric value per metric.
 
-    The header goes through ``csv.reader``. Its names, stripped of
-    surrounding whitespace, must keep the rule of ``check_names``; a header
-    error is reported before any body error. The body goes through one
-    ``np.loadtxt`` call. Only a bad file is read again, to name the row of
-    the first problem found, in this order: a row with the wrong number of
-    fields or a cell that is not a number, then a bad timestamp, then a
-    value that is not finite.
+    The file is read as UTF-8. The header goes through ``csv.reader``. Its
+    names, stripped of surrounding whitespace, must keep the rule of
+    ``check_names``; a header error is reported before any body error. The
+    body goes through one ``np.loadtxt`` call. Only a bad file is read
+    again, to name the line of the first byte that is not UTF-8, or else the
+    row of the first problem found, in this order: a row with the wrong
+    number of fields or a cell that is not a number, then a bad timestamp,
+    then a value that is not finite.
     """
     if kind not in ("stat", "event"):
         raise ConfigError(f"kind must be 'stat' or 'event', got {kind!r}")
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
@@ -314,6 +315,8 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
             header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path} is empty") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
         if not header:
             raise DataError(f"{path}: empty header")
         if header[0].strip() != "timestamp":
@@ -326,6 +329,8 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
                 warnings.filterwarnings("ignore", _NO_DATA_WARNING, UserWarning)
                 rows = np.loadtxt(fh, dtype=body, delimiter=",", comments=None,
                                   quotechar='"', ndmin=1)
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
         except ValueError as exc:
             raise _cell_error(path, names, exc) from None
     if not rows.size:
@@ -352,10 +357,24 @@ def load_metrics(path: str, kind: str = "stat") -> MetricFrame:
     return MetricFrame(names, ts, vals, kind)
 
 
+def _decode_error(path: str) -> DataError:
+    """The first line of a CSV that is not UTF-8, for a read that failed to
+    decode it; the header is line 1."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = "header" if line_no == 1 else f"row {line_no}"
+                return DataError(f"{path}: {where} is not UTF-8 text: byte "
+                                 f"0x{line[exc.start]:02x} at column {exc.start + 1}")
+    return DataError(f"{path} is not UTF-8 text")
+
+
 def _data_rows(path: str):
     """(row number, fields) of each non-blank body row of a CSV; a row's
     number is its line in the file, the header being line 1."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         yield from ((row_no, row) for row_no, row in enumerate(reader, start=2) if row)
@@ -416,8 +435,9 @@ def write_metrics(path: str, frame: MetricFrame) -> None:
 
 
 def write_csv_rows(path: str, header: list[str], rows) -> None:
-    """Write a header row and then ``rows`` in the csv module's default dialect."""
-    with open(path, "w", newline="") as fh:
+    """Write a header row and then ``rows`` in the csv module's default
+    dialect, as UTF-8."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -425,7 +445,8 @@ def write_csv_rows(path: str, header: list[str], rows) -> None:
 
 def write_minute_csv(path: str, key: str, minutes: np.ndarray,
                      names: tuple[str, ...], values: np.ndarray) -> None:
-    """One ISO-8601 column named ``key``, then one ``repr`` float per name.
+    """One ISO-8601 column named ``key``, then one ``repr`` float per name,
+    written as UTF-8.
 
     The header goes through ``csv.writer``. No stamp or float ``repr``
     needs quoting, so the body rows are joined directly with the writer's
@@ -434,7 +455,7 @@ def write_minute_csv(path: str, key: str, minutes: np.ndarray,
     than one block's text and Python floats are held at once.
     """
     values = np.asarray(values, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([key, *names])
         for start in range(0, len(values), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
@@ -456,8 +477,8 @@ def json_checksum(payload) -> str:
 
 
 def write_json(path: str, payload) -> None:
-    """Write ``json_text(payload)`` to ``path``."""
-    with open(path, "w") as fh:
+    """Write ``json_text(payload)`` to ``path`` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(payload))
 
 
@@ -488,7 +509,7 @@ def read_json(path: str, error: type[DiagError]):
     Invalid covers text that is not UTF-8 or not JSON, and an integer
     literal longer than Python reads (4,300 digits)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise error(f"cannot open {path}: {exc}") from None

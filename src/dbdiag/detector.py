@@ -41,7 +41,7 @@ from .data import (
     write_minute_csv,
 )
 from .errors import ConfigError, DataError, InternalError, ModelIOError, TrainingError
-from .nn import Adam, Network, squared_error
+from .nn import Adam, Network, Standardized, TemporalNorm, squared_error
 from .nn.layers import _sum
 
 MODEL_FORMAT = "dbdiag-model"
@@ -281,8 +281,13 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     weights = network.values[network.decayed]
     d_weights = network.grads[network.decayed]
 
+    windows = parts.train.windows
     n_train = len(parts.train)
     batch_size = min(config.batch_size, n_train)
+    # A temporal norm's standardization of a window is the same in every
+    # epoch, so it runs once per fit and each batch gathers its rows.
+    standardized = (Standardized.of(windows, _SCORE_CHUNK)
+                    if isinstance(network.layers[0], TemporalNorm) else None)
 
     best_val = np.inf
     best_epoch = 0
@@ -294,8 +299,15 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
         sq_sum = 0.0
         obj_sum = 0.0
         for start in range(0, n_train, batch_size):
-            batch = parts.train.windows[order[start:start + batch_size]]
-            batch_sq, grad = squared_error(network.forward(batch, training=True), batch)
+            rows = order[start:start + batch_size]
+            if standardized is None:
+                batch = windows[rows]
+                pred = network.forward(batch, training=True)
+            else:
+                pred = network.forward(standardized.take(rows), training=True)
+                batch = windows[rows]  # only the loss's target
+            batch_sq, grad = squared_error(pred, batch)
+            del pred
             objective = batch_sq / batch.shape[0] + lam * float(weights @ weights)
             if not np.isfinite(objective):
                 raise TrainingError(
@@ -306,13 +318,15 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
             optimizer.step(network.grads)
             sq_sum += batch_sq
             obj_sum += objective * batch.shape[0]
+            # free the step's arrays before the next one gathers its own
+            del batch, grad
 
         val_scores = _score_window_array(network, parts.val.windows)
         val_mse = float(val_scores.mean())
         history.append({
             "epoch": epoch,
             "train_objective": obj_sum / n_train,
-            "train_mse": sq_sum / parts.train.windows.size,
+            "train_mse": sq_sum / windows.size,
             "val_mse": val_mse,
         })
         if val_mse < best_val:

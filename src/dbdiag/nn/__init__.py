@@ -4,6 +4,7 @@ from .layers import (
     Layer,
     ReLU,
     Reshape,
+    Standardized,
     TemporalNorm,
     TemporalNormReverse,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "Network",
     "ReLU",
     "Reshape",
+    "Standardized",
     "TemporalNorm",
     "TemporalNormReverse",
     "squared_error",

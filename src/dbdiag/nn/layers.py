@@ -11,7 +11,9 @@ writes it in place with ``np.copyto``, which upcasts a float32 gradient
 exactly. In a ``Network`` each parameter and its gradient are views into its
 two flat vectors, and the optimizer writes the parameters through
 ``Network.values``. Each layer caches whatever its backward pass needs during
-a ``forward(..., training=True)`` call. No layer writes any state in a
+a ``forward(..., training=True)`` call, and no more: ``ReLU`` keeps its
+output, which the next layer holds anyway, and the temporal-norm reverse
+keeps its input, not its scaled input. No layer writes any state in a
 ``training=False`` forward pass (batch-stat layers read their running
 statistics, and the temporal-norm pair hands its moments over as values), so
 inference is safe to run concurrently on a shared model. Layers update in
@@ -35,11 +37,18 @@ element still goes through the same float operations in the same order, so the
 results are bit-identical. Forward passes build each expanded moment in a
 buffer that becomes a result or takes memory an inference pass has freed, so
 scoring holds no more [batch, T, F] arrays at once than broadcasting does. The
-reverse layer's training forward and its backward hold one more for the length
-of the call, below the peak of a training step.
+reverse layer's backward holds one more for the length of the call, below the
+peak of a training step.
+
+A window's temporal standardization depends on the window alone, so a fit
+computes it once for every training window, as a ``Standardized`` set, and
+hands the first ``TemporalNorm`` the rows of each batch; the layer then runs
+only its scale-shift, with the bits it would give the raw batch.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,20 +122,25 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """``max(x, 0)``. A training pass caches its output, which the next layer
+    holds as its input anyway, and the backward pass masks the gradient with
+    ``out > 0``, the same mask as ``x > 0``."""
+
     label = "relu"
 
     def __init__(self):
-        self._mask = None
+        self._out = None
 
     def forward(self, x, training=False):
+        out = np.maximum(x, 0.0)
         if training:
-            self._mask = x > 0
-        return np.maximum(x, 0.0)
+            self._out = out
+        return out
 
     def backward(self, grad):
-        if self._mask is None:
+        if self._out is None:
             raise InternalError("relu backward called before a training forward pass")
-        return grad * self._mask
+        return grad * (self._out > 0)
 
 
 class Reshape(Layer):
@@ -193,6 +207,22 @@ def _moment_backward(grad, gamma, norm, denom, std, d_mean, d_std):
     return d_norm
 
 
+def _standardize(x, epsilon):
+    """``(norm, mean, std, denom, spare)``: the z-normalization of a
+    [batch, T, F] array along its time axis, each moment [batch, 1, F].
+    ``spare`` is a new [batch, T, F] array, ``denom`` expanded, that the
+    caller may overwrite."""
+    steps = x.shape[1]
+    mean = _sum("bf", x) / steps
+    norm = np.repeat(mean, steps, axis=1)
+    np.subtract(x, norm, out=norm)
+    std = np.sqrt(_sum("bf", norm, norm) / steps)
+    denom = std + epsilon
+    wide = np.repeat(denom, steps, axis=1)
+    norm /= wide
+    return norm, mean, std, denom, wide
+
+
 class ScaleShift(Layer):
     """A layer with a trainable per-feature scale ``gamma`` and shift ``beta``."""
 
@@ -224,20 +254,18 @@ class Standardize(ScaleShift):
 
     def standardize(self, x, training):
         """``(out, mean, std, denom)``, each moment [batch, 1, F]."""
-        steps = x.shape[1]
-        mean = _sum("bf", x) / steps
-        norm = np.repeat(mean, steps, axis=1)
-        np.subtract(x, norm, out=norm)
-        std = np.sqrt(_sum("bf", norm, norm) / steps)
-        denom = std + self.EPSILON
-        out = np.repeat(denom, steps, axis=1)
-        norm /= out
+        norm, mean, std, denom, spare = _standardize(x, self.EPSILON)
+        return self.shift_norm(norm, std, denom, training, spare), mean, std, denom
+
+    def shift_norm(self, norm, std, denom, training, out=None):
+        """``gamma * norm + beta``, written into ``out`` when given; a
+        training pass caches ``norm`` and the moments for the backward pass."""
         if training:
             self._cache = (norm, std, denom)
-        gamma, beta = self.scale_shift(x.dtype, steps)
-        np.multiply(gamma, norm, out=out)
+        gamma, beta = self.scale_shift(norm.dtype, norm.shape[1])
+        out = np.multiply(gamma, norm, out=out)
         out += beta
-        return out, mean, std, denom
+        return out
 
     def standardize_backward(self, grad, d_moments):
         """Sets ``d_gamma``/``d_beta``; returns the input gradient given
@@ -261,23 +289,29 @@ class TemporalNorm(Standardize):
     deviation ~1 regardless of where in the original series it was cut,
     which is what lets one model handle level shifts and trends.
 
-    ``forward`` returns ``(out, (mean, denom))``: the per-sample moments, each
+    ``forward`` takes a [batch, T, F] array, or a ``Standardized`` batch,
+    whose windows are normalized already, so only the scale-shift runs. It
+    returns ``(out, (mean, denom))``: the per-sample moments, each
     [batch, 1, F], go to the paired ``TemporalNormReverse`` at the decoder
     end. ``backward`` takes ``(grad, handed)``: the upstream grad plus what
-    the reverse layer handed back, its own upstream grad and cached
-    ``scaled``, from which it reduces the gradients wrt the moments. It
-    always sets ``d_gamma``/``d_beta``; with ``handed`` None it stops there
-    and returns None instead of the input gradient.
+    the reverse layer handed back, its own upstream grad and ``scaled``,
+    from which it reduces the gradients wrt the moments. It always sets
+    ``d_gamma``/``d_beta``; with ``handed`` None it stops there and returns
+    None instead of the input gradient.
     """
 
     label = "btn"
 
     def forward(self, x, training=False):
-        if x.ndim != 3 or x.shape[2] != self.gamma.shape[0]:
+        ready = isinstance(x, Standardized)
+        shape = (x.norm if ready else x).shape
+        if len(shape) != 3 or shape[2] != self.gamma.shape[0]:
             raise ConfigError(
-                f"temporal norm expects [batch, T, {self.gamma.shape[0]}], got {x.shape}")
-        if x.shape[1] < 2:
+                f"temporal norm expects [batch, T, {self.gamma.shape[0]}], got {shape}")
+        if shape[1] < 2:
             raise ConfigError("temporal norm needs at least 2 time steps per window")
+        if ready:
+            return self.shift_norm(x.norm, x.std, x.denom, training), (x.mean, x.denom)
         out, mean, _, denom = self.standardize(x, training)
         return out, (mean, denom)
 
@@ -290,18 +324,54 @@ class TemporalNorm(Standardize):
         return self.standardize_backward(grad, d_moments)
 
 
+class Standardized(NamedTuple):
+    """Windows z-normalized along their time axis ahead of a training pass,
+    with the bits ``Standardize.standardize`` gives them in any batch:
+    ``norm`` [n, T, F] and the moments ``mean``, ``std`` and ``denom``, each
+    [n, 1, F]. A ``TemporalNorm`` takes one in place of the raw windows."""
+
+    norm: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    denom: np.ndarray
+
+    @classmethod
+    def of(cls, windows: np.ndarray, chunk: int) -> "Standardized":
+        """Standardize [n, T, F] ``windows``, ``chunk`` at a time, into
+        arrays of their dtype allocated once. A window's values depend on it
+        alone, so each row has the bits it would have in any batch."""
+        n, _, width = windows.shape
+        out = cls(np.empty(windows.shape, windows.dtype),
+                  *(np.empty((n, 1, width), windows.dtype) for _ in range(3)))
+        for start in range(0, n, chunk):
+            rows = slice(start, start + chunk)
+            # contiguous, as a gathered batch is; the windows may be a view
+            part = np.ascontiguousarray(windows[rows])
+            for array, value in zip(out, _standardize(part, Standardize.EPSILON)):
+                array[rows] = value
+        return out
+
+    def take(self, rows) -> "Standardized":
+        """The windows at ``rows``, an index array, as a new batch."""
+        return Standardized(*(array[rows] for array in self))
+
+
 class TemporalNormReverse(ScaleShift):
     """Decoder end of a temporal-norm pair.
 
-    Applies its own trainable scale/offset, then restores each sample's
-    original per-feature level and spread. ``forward`` takes
-    ``(x, (mean, denom))``, the moments its paired ``TemporalNorm`` returned
-    in the same pass. ``backward`` returns ``(dx, (grad, scaled))``, handing
-    its upstream grad and cached ``scaled`` to the paired layer unreduced:
-    the gradients wrt ``mean`` and ``denom`` are the sums over time of
-    ``grad`` and ``grad * scaled``, and only the paired layer's input
-    gradient reads them, so it reduces them there when it computes one.
-    Neither array is written after it is handed over.
+    Applies its own trainable scale/offset, ``scaled = gamma * x + beta``,
+    then restores each sample's original per-feature level and spread.
+    ``forward`` takes ``(x, (mean, denom))``, the moments its paired
+    ``TemporalNorm`` returned in the same pass. ``backward`` takes
+    ``(grad, hand)`` and returns ``(dx, handed)``. The gradients wrt
+    ``mean`` and ``denom`` are the sums over time of ``grad`` and
+    ``grad * scaled``, and only the paired layer's input gradient reads
+    them, so with ``hand`` true the layer hands ``(grad, scaled)`` over
+    unreduced and the paired layer reduces them; with ``hand`` false
+    ``handed`` is None. A training pass caches ``x``, not ``scaled``: the
+    backward pass computes ``scaled`` again, with the forward pass's
+    operations, only when it hands it over. Neither handed array is written
+    after it is handed over.
     """
 
     label = "btn_reverse"
@@ -310,33 +380,37 @@ class TemporalNormReverse(ScaleShift):
         x, (mean, denom) = x
         steps = x.shape[1]
         gamma, beta = self.scale_shift(x.dtype, steps)
-        scaled = gamma * x
-        scaled += beta
-        out = np.repeat(denom, steps, axis=1)
-        out *= scaled
+        out = gamma * x
+        out += beta
+        wide = np.repeat(denom, steps, axis=1)
+        out *= wide
         if training:
-            self._cache = (x, scaled, denom)
-        # Outside training nothing else holds ``scaled``, so the expanded
-        # mean can take its memory.
-        del scaled
+            self._cache = (x, denom)
+        # the expanded mean can take the expanded denom's memory
+        del wide
         out += np.repeat(mean, steps, axis=1)
         return out
 
     def backward(self, grad):
+        grad, hand = grad
         if self._cache is None:
             raise InternalError("temporal-norm reverse backward called before a "
                                 "training forward pass")
-        x, scaled, denom = self._cache
+        x, denom = self._cache
         steps = x.shape[1]
         wide = np.repeat(denom, steps, axis=1)
         work = grad * x
         work *= wide
         np.copyto(self.d_gamma, _sum("f", work))
-        gamma, _ = self.scale_shift(grad.dtype, steps)
+        gamma, beta = self.scale_shift(grad.dtype, steps)
         np.multiply(grad, gamma, out=work)
         work *= wide
         wide *= grad
         np.copyto(self.d_beta, _sum("f", wide))
+        if not hand:
+            return work, None
+        scaled = gamma * x
+        scaled += beta
         return work, (grad, scaled)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InternalError
-from .layers import Dense, Layer, TemporalNorm, TemporalNormReverse
+from .layers import Dense, Layer, Standardized, TemporalNorm, TemporalNormReverse
 
 
 class Network:
@@ -51,9 +51,10 @@ class Network:
         self.decayed = slice(0, sum(layer.weights.size for layer in layers
                                     if isinstance(layer, Dense)))
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray | Standardized, training: bool = False) -> np.ndarray:
         # The grammar allows one temporal-norm pair, as the first and last
-        # layers: the TemporalNorm hands its moments to the reverse.
+        # layers: the TemporalNorm hands its moments to the reverse. Only a
+        # first TemporalNorm takes a Standardized batch.
         out = x
         for layer in self.layers:
             if isinstance(layer, TemporalNormReverse):
@@ -67,19 +68,20 @@ class Network:
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Set every layer's parameter gradients from the gradient wrt the
         output; returns the gradient wrt the input, or None when
-        ``input_grad`` is False, in which case the first-layer
-        ``TemporalNorm`` skips its moment and input gradients. The parameter
-        gradients are bit-identical either way.
+        ``input_grad`` is False, in which case the temporal-norm pair skips
+        its moment and input gradients. The parameter gradients are
+        bit-identical either way.
         """
         if not self._forward_was_training:
             raise InternalError("backward requires a preceding training-mode forward pass")
         out = grad
         for layer in reversed(self.layers):
-            if isinstance(layer, TemporalNorm):
-                out = (out, pair if input_grad else None)
-            out = layer.backward(out)
             if isinstance(layer, TemporalNormReverse):
-                out, pair = out
+                out, handed = layer.backward((out, input_grad))
+            elif isinstance(layer, TemporalNorm):
+                out = layer.backward((out, handed))
+            else:
+                out = layer.backward(out)
         return out if input_grad else None
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -205,7 +205,7 @@ def write_report(out_dir: str, report: dict, charts: dict[str, str]) -> list[str
     os.makedirs(chart_dir, exist_ok=True)
     written = []
     path = os.path.join(out_dir, "report.txt")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_text(report))
     written.append(path)
     for name in sorted(charts):

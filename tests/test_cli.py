@@ -77,6 +77,21 @@ class TestExitCodes:
         assert rc == 3
         assert "non-finite value nan in row 3, column 'a'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, bad, where", [
+        (b"timestamp,a\xff", None, "header is not UTF-8 text: byte 0xff at column 12"),
+        # past the first block the reader decodes, so the body parse meets it
+        (b"timestamp,a", 500, "row 502 is not UTF-8 text: byte 0xff at column 15")])
+    def test_a_byte_that_is_not_utf8_is_data_error(self, tmp_path, capsys, header, bad,
+                                                   where):
+        rows = [b"%s,1.0" % minute_to_iso(27_000_000 + i).encode() for i in range(600)]
+        if bad is not None:
+            rows[bad] = rows[bad][:14] + b"\xff" + rows[bad][15:]
+        stats = tmp_path / "stats.csv"
+        stats.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
+        rc = main(["train", "--stats", str(stats), "--model", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {stats}: {where}\n"
+
     def test_non_finite_score_is_data_error(self, pipeline, tmp_path, capsys):
         scores = tmp_path / "scores.json"
         assert main(["score", "--model", pipeline["model"],

@@ -14,10 +14,14 @@ from dbdiag import (
     TABLE_ARCHITECTURES,
     Detector,
     GlobalNorm,
+    TrainConfig,
     build_network,
+    default_scenario,
+    generate,
     load_model,
     parse_architecture,
     save_model,
+    train,
 )
 from dbdiag.errors import ConfigError, InternalError
 from dbdiag.nn import (
@@ -26,6 +30,7 @@ from dbdiag.nn import (
     Dense,
     ReLU,
     Reshape,
+    Standardized,
     TemporalNorm,
     TemporalNormReverse,
 )
@@ -167,7 +172,7 @@ class TestTemporalNormReverse:
         rev = TemporalNormReverse(2)
         rev.forward(TemporalNorm(2).forward(rng.normal(size=(1, 5, 2))))
         with pytest.raises(InternalError):
-            rev.backward(np.zeros((1, 5, 2)))
+            rev.backward((np.zeros((1, 5, 2)), True))
 
 
 class TestBatchNorm:
@@ -284,6 +289,45 @@ def test_selected_network_memory_stays_bounded(rng):
 
     # broadcast layers: 10.847 batch sizes, in the first dense layer's backward
     assert _traced_peak(step, batch.nbytes) <= 10.85
+
+
+def test_a_short_fit_pays_for_its_standardized_windows():
+    """A temporal-norm-first fit keeps every training window's
+    standardization, 1,412,136 bytes here, for the length of the fit. The
+    bound is the peak of this fit when each batch was standardized on its
+    own, 14,827,444 bytes, plus those arrays."""
+    frame = generate(default_scenario(seed=3, duration_minutes=3000)).stats
+    config = TrainConfig(max_epochs=2, patience=2)
+    train(frame, config)  # a first fit also fills caches and imports
+    assert _traced_peak(lambda: train(frame, config), 1) <= 14_827_444 + 1_412_136
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("feats", [1, 6])
+def test_standardized_rows_match_a_batch_bit_for_bit(feats, dtype, rng):
+    """Windows standardized once, in chunks, then gathered by rows give the
+    norm, moments and layer output that ``standardize`` gives those rows as
+    one batch: for batches of 1 and 2 windows, a full batch and the partial
+    last one. With one feature ``_sum`` falls back to ``sum``."""
+    frame = (rng.normal(size=(1200, feats)).cumsum(axis=0) * 3.0 + 40.0).astype(dtype)
+    windows = sliding_window_view(frame, 30, axis=0).swapaxes(1, 2)
+    ready = Standardized.of(windows, 1024)  # a full chunk and one of 147
+    layer = TemporalNorm(feats)
+    layer.gamma[:] = rng.normal(1.0, 0.3, feats)
+    layer.beta[:] = rng.normal(0.0, 0.3, feats)
+    order = rng.permutation(len(windows))
+    for rows in (order[:1], order[:2], order[:500], order[1000:]):
+        want_out, want_mean, want_std, want_denom = layer.standardize(windows[rows], True)
+        want_norm = layer._cache[0]
+        batch = ready.take(rows)
+        out, (mean, denom) = layer.forward(batch, training=True)
+        assert layer._cache[0] is batch.norm
+        got = dict(out=out, norm=batch.norm, mean=mean, std=batch.std, denom=denom)
+        want = dict(out=want_out, norm=want_norm, mean=want_mean, std=want_std,
+                    denom=want_denom)
+        for name, value in want.items():
+            assert got[name].dtype == dtype, name
+            assert np.array_equal(got[name], value), (name, len(rows))
 
 
 def test_snapshot_is_isolated_from_later_training(rng):
@@ -411,7 +455,10 @@ def test_temporal_norm_pair_matches_reference_bit_for_bit(make_input, dtype, rng
 
     out, (mean, denom) = fwd.forward(x, training=True)
     restored = rev.forward((y, (mean, denom)), training=True)
-    rev_dx, (handed_grad, scaled) = rev.backward(grad_out)
+    rev_dx, (handed_grad, scaled) = rev.backward((grad_out, True))
+    # without an input gradient the reverse hands nothing over
+    rev_only, handed = rev.backward((grad_out, False))
+    assert handed is None and np.array_equal(rev_only, rev_dx)
     dx = fwd.backward((grad_mid, (handed_grad, scaled)))
     # the moment gradients, reduced from the handed arrays as TemporalNorm does
     d_mean = _sum("bf", handed_grad)

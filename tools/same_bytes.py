@@ -39,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 ARCHITECTURES = ("BTN-(150)-(50)-(150*)-BTN*", "BN-(150)-(50)-(150*)-BN*",
-                 "(150)-BN-(50)-BN*-(150*)")
+                 "(150)-BN-(50)-BN*-(150*)", "BTN-(150)-BN-(50)-BN*-(150*)-BTN*")
 CLI = "import sys; from dbdiag.cli import main; sys.exit(main())"
 
 
