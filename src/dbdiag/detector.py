@@ -174,31 +174,54 @@ def _window_steps(value) -> int:
     return value
 
 
-def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
-    """[n, T, F] normalized windows -> [n, F] time-averaged squared errors.
+def _score_chunks(windows: np.ndarray):
+    """[n, T, F] windows as the float32 contiguous chunks they are scored in.
 
     The network runs in float32, as in training, whatever dtype the caller's
-    windows have; the time mean sums a float64 copy of the squared errors,
-    which gives the bits of ``mean(axis=1, dtype=np.float64)`` faster.
-
-    The windows go through in ceil(n / ``_SCORE_CHUNK``) chunks whose sizes
-    differ by at most one. A chunk's temporaries then stay small enough for
-    the allocator to hand the same pages back to the next chunk instead of
-    mapping fresh ones; and no chunk of a frame with at least ``_SCORE_CHUNK``
-    windows is smaller than half of it, so no window lands in a tiny tail that
-    BLAS would multiply with its small-matrix kernels, whose bits differ.
+    windows have. The windows go through in ceil(n / ``_SCORE_CHUNK``)
+    chunks whose sizes differ by at most one. A chunk's temporaries then stay
+    small enough for the allocator to hand the same pages back to the next
+    chunk instead of mapping fresh ones; and no chunk of a frame with at
+    least ``_SCORE_CHUNK`` windows is smaller than half of it, so no window
+    lands in a tiny tail that BLAS would multiply with its small-matrix
+    kernels, whose bits differ. The chunks are made one at a time, so a
+    caller that scores each as it comes holds only that one.
     """
-    steps = windows.shape[1]
-    parts = []
     for chunk in np.array_split(windows, -(-windows.shape[0] // _SCORE_CHUNK)):
         # windows may be an overlapping view, which BLAS cannot take
-        chunk = np.ascontiguousarray(chunk, dtype=np.float32)
+        yield np.ascontiguousarray(chunk, dtype=np.float32)
+
+
+def _score_inputs(network: Network, inputs) -> np.ndarray:
+    """``(x, chunk)`` pairs -> the [n, F] time-averaged squared errors of the
+    chunks' windows, in order. ``x`` is the chunk, or its ``Standardized``
+    form for a network whose first layer is a temporal norm, which scores
+    with the same bits. The time mean sums a float64 copy of the squared
+    errors, which gives the bits of ``mean(axis=1, dtype=np.float64)``
+    faster."""
+    parts = []
+    for x, chunk in inputs:
         # an inference pass caches nothing, so its output buffer is ours
-        resid = network.forward(chunk, training=False)
+        resid = network.forward(x, training=False)
         resid -= chunk
         resid *= resid
-        parts.append(_sum("bf", resid.astype(np.float64))[:, 0, :] / steps)
+        parts.append(_sum("bf", resid.astype(np.float64))[:, 0, :] / chunk.shape[1])
     return np.concatenate(parts, axis=0)
+
+
+def _prepared_inputs(network: Network, windows: np.ndarray) -> list:
+    """The ``(x, chunk)`` pairs of ``windows`` for ``_score_inputs``, all
+    made at once so that the same windows can be scored again and again:
+    ``x`` is the chunk's ``Standardized`` set for a network whose first layer
+    is a temporal norm, else the chunk itself."""
+    lead_norm = isinstance(network.layers[0], TemporalNorm)
+    return [(Standardized.of(chunk, len(chunk)) if lead_norm else chunk, chunk)
+            for chunk in _score_chunks(windows)]
+
+
+def _score_window_array(network: Network, windows: np.ndarray) -> np.ndarray:
+    """[n, T, F] normalized windows -> [n, F] time-averaged squared errors."""
+    return _score_inputs(network, ((chunk, chunk) for chunk in _score_chunks(windows)))
 
 
 class Detector:
@@ -288,6 +311,8 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
     # epoch, so it runs once per fit and each batch gathers its rows.
     standardized = (Standardized.of(windows, _SCORE_CHUNK)
                     if isinstance(network.layers[0], TemporalNorm) else None)
+    # validation scores the same windows in every epoch
+    val_inputs = _prepared_inputs(network, parts.val.windows)
 
     best_val = np.inf
     best_epoch = 0
@@ -321,7 +346,7 @@ def train(frame: MetricFrame, config: TrainConfig | None = None) -> TrainResult:
             # free the step's arrays before the next one gathers its own
             del batch, grad
 
-        val_scores = _score_window_array(network, parts.val.windows)
+        val_scores = _score_inputs(network, val_inputs)
         val_mse = float(val_scores.mean())
         history.append({
             "epoch": epoch,

@@ -44,6 +44,18 @@ A window's temporal standardization depends on the window alone, so a fit
 computes it once for every training window, as a ``Standardized`` set, and
 hands the first ``TemporalNorm`` the rows of each batch; the layer then runs
 only its scale-shift, with the bits it would give the raw batch.
+
+In a network whose lead is exactly one temporal norm, training folds the
+pair's per-feature scale-shift into the dense layers beside it, which
+``Network`` names in ``Dense.fold_in`` and ``Dense.fold_out``. The temporal
+norm's training forward then returns the standardized windows, the first
+dense layer multiplies them by ``diag(gamma) W`` and adds ``b + beta W``, the
+output layer's weights and bias carry the reverse layer's ``gamma`` and
+``beta``, and the reverse layer only restores each window's moments. Each
+folding dense layer maps its gradients back to those of the stored
+parameters and sets the pair layer's ``d_gamma`` and ``d_beta``: the one
+place a layer writes another layer's gradients. Inference runs every layer
+unfolded.
 """
 
 from __future__ import annotations
@@ -77,6 +89,17 @@ class Dense(Layer):
     ``label`` only names the layer's role in the encoder/decoder mirror
     (``dense``, ``dense_reverse`` or ``dense_out``); the computation is
     identical.
+
+    ``fold_in`` and ``fold_out`` name a temporal-norm pair layer whose
+    per-feature scale-shift a training pass folds into this layer's input or
+    output side (``Network`` sets them; see there). A training forward then
+    multiplies by the folded weights, computed in float64 from the stored
+    parameters and cast once to the input's dtype, and the backward pass maps
+    the gradients of the folded weights back, in float64, to those of the
+    stored weights and bias and of the pair layer's ``gamma`` and ``beta``. A
+    layer with ``fold_in`` takes ``(grad, input_grad)`` in its backward pass
+    and returns None when ``input_grad`` is False, without the input-gradient
+    product. Inference always uses the stored weights.
     """
 
     PARAMS = ("weights", "bias")
@@ -89,6 +112,8 @@ class Dense(Layer):
         self.weights = rng.uniform(-limit, limit, size=(n_in, n_out))
         self.bias = np.zeros(n_out)
         self.label = label
+        self.fold_in: ScaleShift | None = None
+        self.fold_out: ScaleShift | None = None
         self._x = None
         self._w = None
         self.d_weights = np.full_like(self.weights, np.nan)
@@ -106,19 +131,73 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ConfigError(
                 f"dense layer expects input width {self.n_in}, got shape {x.shape}")
-        weights = self.weights.astype(x.dtype, copy=False)
+        if training and (self.fold_in is not None or self.fold_out is not None):
+            weights, bias = (part.astype(x.dtype, copy=False) for part in self._folded())
+        else:
+            weights = self.weights.astype(x.dtype, copy=False)
+            bias = self.bias.astype(x.dtype, copy=False)
         if training:
             self._x, self._w = x, weights
         out = x @ weights
-        out += self.bias.astype(x.dtype, copy=False)
+        out += bias
         return out
 
     def backward(self, grad):
+        input_grad = True
+        if self.fold_in is not None:
+            grad, input_grad = grad
         if self._x is None:
             raise InternalError("dense backward called before a training forward pass")
         np.copyto(self.d_weights, self._x.T @ grad)
         np.copyto(self.d_bias, grad.sum(axis=0))
-        return grad @ self._w.T
+        if self.fold_in is not None:
+            self._unfold_in()
+        if self.fold_out is not None:
+            self._unfold_out()
+        return grad @ self._w.T if input_grad else None
+
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 weights and bias of a folded training pass:
+        ``diag(gamma) W`` and ``b + beta W`` for ``fold_in``, ``W diag(gamma)``
+        and ``gamma * b + beta`` for ``fold_out``, each pair layer's
+        ``gamma`` and ``beta`` tiled over the flat window's time steps."""
+        weights, bias = self.weights, self.bias
+        if self.fold_in is not None:
+            gamma, beta = self.fold_in.tiled(self.n_in)
+            bias = bias + beta @ weights
+            weights = gamma[:, None] * weights
+        if self.fold_out is not None:
+            gamma, beta = self.fold_out.tiled(self.n_out)
+            weights = weights * gamma
+            bias = gamma * bias + beta
+        return weights, bias
+
+    def _unfold_in(self) -> None:
+        """Turn ``d_weights``/``d_bias``, the gradients of the folded
+        ``fold_in`` weights and bias, into those of the stored ones, and set
+        the pair layer's ``d_gamma``/``d_beta``. Each is computed in float64
+        and rounded once to the dtype of the pass, as the other layers'
+        gradients are computed in it."""
+        pair, dtype = self.fold_in, self._x.dtype
+        gamma, beta = pair.tiled(self.n_in)
+        d_weights, d_bias = self.d_weights, self.d_bias
+        np.copyto(pair.d_gamma, pair.over_steps(
+            np.einsum("ij,ij->i", self.weights, d_weights)).astype(dtype))
+        np.copyto(pair.d_beta, pair.over_steps(self.weights @ d_bias).astype(dtype))
+        np.copyto(d_weights, (gamma[:, None] * d_weights
+                              + np.outer(beta, d_bias)).astype(dtype))
+
+    def _unfold_out(self) -> None:
+        """As ``_unfold_in``, for the ``fold_out`` weights and bias."""
+        pair, dtype = self.fold_out, self._x.dtype
+        gamma, _ = pair.tiled(self.n_out)
+        d_weights, d_bias = self.d_weights, self.d_bias
+        np.copyto(pair.d_gamma, pair.over_steps(
+            np.einsum("ij,ij->j", self.weights, d_weights)
+            + self.bias * d_bias).astype(dtype))
+        np.copyto(pair.d_beta, pair.over_steps(d_bias).astype(dtype))
+        np.copyto(d_weights, (d_weights * gamma).astype(dtype))
+        np.copyto(d_bias, (d_bias * gamma).astype(dtype))
 
 
 class ReLU(Layer):
@@ -160,7 +239,8 @@ class Reshape(Layer):
         return x.reshape(x.shape[0], *self.out_shape)
 
     def backward(self, grad):
-        return grad.reshape(grad.shape[0], *self.in_shape)
+        # None: the layer below needs no input gradient
+        return None if grad is None else grad.reshape(grad.shape[0], *self.in_shape)
 
 
 def _sum(out, *operands):
@@ -224,13 +304,20 @@ def _standardize(x, epsilon):
 
 
 class ScaleShift(Layer):
-    """A layer with a trainable per-feature scale ``gamma`` and shift ``beta``."""
+    """A layer with a trainable per-feature scale ``gamma`` and shift ``beta``.
+
+    ``folded`` is set on a temporal-norm pair whose scale-shift the
+    neighbouring dense layer applies in training (see ``Dense``): the
+    layer's training passes then leave it out, and the dense layer sets
+    ``d_gamma`` and ``d_beta``.
+    """
 
     PARAMS = ("gamma", "beta")
 
     def __init__(self, width: int):
         self.gamma = np.ones(width)
         self.beta = np.zeros(width)
+        self.folded = False
         self._cache = None
         self.d_gamma = np.full_like(self.gamma, np.nan)
         self.d_beta = np.full_like(self.beta, np.nan)
@@ -243,6 +330,16 @@ class ScaleShift(Layer):
         broadcasts as [F] does."""
         return (np.tile(self.gamma.astype(dtype, copy=False), (steps, 1)),
                 np.tile(self.beta.astype(dtype, copy=False), (steps, 1)))
+
+    def tiled(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """float64 ``gamma`` and ``beta`` tiled to the ``width`` entries of a
+        flat [T * F] window, time-major as ``Reshape`` flattens it."""
+        steps = width // self.gamma.shape[0]
+        return tuple(part.ravel() for part in self.scale_shift(np.float64, steps))
+
+    def over_steps(self, flat: np.ndarray) -> np.ndarray:
+        """A flat [T * F] window's entries summed over its time steps, [F]."""
+        return flat.reshape(-1, self.gamma.shape[0]).sum(axis=0)
 
 
 class Standardize(ScaleShift):
@@ -269,16 +366,19 @@ class Standardize(ScaleShift):
 
     def standardize_backward(self, grad, d_moments):
         """Sets ``d_gamma``/``d_beta``; returns the input gradient given
-        ``d_moments``, the grads wrt (mean, std), or None when it is None."""
+        ``d_moments``, the grads wrt (mean, std), or None when it is None.
+        A folded layer's ``grad`` is the gradient wrt ``norm`` itself, or
+        None when ``d_moments`` is None, and it sets no parameter gradient."""
         if self._cache is None:
             raise InternalError(f"{type(self).__name__} backward called before a "
                                 f"training forward pass")
         norm, std, denom = self._cache
-        np.copyto(self.d_gamma, _sum("f", grad, norm))
-        np.copyto(self.d_beta, _sum("f", grad))
+        if not self.folded:
+            np.copyto(self.d_gamma, _sum("f", grad, norm))
+            np.copyto(self.d_beta, _sum("f", grad))
         if d_moments is None:
             return None
-        gamma = self.gamma.astype(grad.dtype, copy=False)
+        gamma = 1.0 if self.folded else self.gamma.astype(grad.dtype, copy=False)
         return _moment_backward(grad, gamma, norm, denom, std, *d_moments)
 
 
@@ -290,26 +390,31 @@ class TemporalNorm(Standardize):
     which is what lets one model handle level shifts and trends.
 
     ``forward`` takes a [batch, T, F] array, or a ``Standardized`` batch,
-    whose windows are normalized already, so only the scale-shift runs. It
-    returns ``(out, (mean, denom))``: the per-sample moments, each
+    whose windows are normalized already, so only the scale-shift runs; a
+    folded layer's training pass returns the normalized windows without it.
+    It returns ``(out, (mean, denom))``: the per-sample moments, each
     [batch, 1, F], go to the paired ``TemporalNormReverse`` at the decoder
     end. ``backward`` takes ``(grad, handed)``: the upstream grad plus what
     the reverse layer handed back, its own upstream grad and ``scaled``,
     from which it reduces the gradients wrt the moments. It always sets
-    ``d_gamma``/``d_beta``; with ``handed`` None it stops there and returns
-    None instead of the input gradient.
+    ``d_gamma``/``d_beta``, unless folded; with ``handed`` None it stops
+    there and returns None instead of the input gradient.
     """
 
     label = "btn"
 
     def forward(self, x, training=False):
         ready = isinstance(x, Standardized)
-        shape = (x.norm if ready else x).shape
+        shape = x.shape
         if len(shape) != 3 or shape[2] != self.gamma.shape[0]:
             raise ConfigError(
                 f"temporal norm expects [batch, T, {self.gamma.shape[0]}], got {shape}")
         if shape[1] < 2:
             raise ConfigError("temporal norm needs at least 2 time steps per window")
+        if training and self.folded:
+            norm, mean, std, denom = x if ready else _standardize(x, self.EPSILON)[:4]
+            self._cache = (norm, std, denom)
+            return norm, (mean, denom)
         if ready:
             return self.shift_norm(x.norm, x.std, x.denom, training), (x.mean, x.denom)
         out, mean, _, denom = self.standardize(x, training)
@@ -351,6 +456,11 @@ class Standardized(NamedTuple):
                 array[rows] = value
         return out
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The windows' shape, [n, T, F], as a raw batch has it."""
+        return self.norm.shape
+
     def take(self, rows) -> "Standardized":
         """The windows at ``rows``, an index array, as a new batch."""
         return Standardized(*(array[rows] for array in self))
@@ -371,7 +481,8 @@ class TemporalNormReverse(ScaleShift):
     ``handed`` is None. A training pass caches ``x``, not ``scaled``: the
     backward pass computes ``scaled`` again, with the forward pass's
     operations, only when it hands it over. Neither handed array is written
-    after it is handed over.
+    after it is handed over. A folded layer's training input is ``scaled``
+    already, so its passes only restore the moments.
     """
 
     label = "btn_reverse"
@@ -379,11 +490,14 @@ class TemporalNormReverse(ScaleShift):
     def forward(self, x, training=False):
         x, (mean, denom) = x
         steps = x.shape[1]
-        gamma, beta = self.scale_shift(x.dtype, steps)
-        out = gamma * x
-        out += beta
         wide = np.repeat(denom, steps, axis=1)
-        out *= wide
+        if training and self.folded:
+            out = np.multiply(x, wide, out=wide)
+        else:
+            gamma, beta = self.scale_shift(x.dtype, steps)
+            out = gamma * x
+            out += beta
+            out *= wide
         if training:
             self._cache = (x, denom)
         # the expanded mean can take the expanded denom's memory
@@ -399,6 +513,9 @@ class TemporalNormReverse(ScaleShift):
         x, denom = self._cache
         steps = x.shape[1]
         wide = np.repeat(denom, steps, axis=1)
+        if self.folded:
+            wide *= grad
+            return wide, ((grad, x) if hand else None)
         work = grad * x
         work *= wide
         np.copyto(self.d_gamma, _sum("f", work))

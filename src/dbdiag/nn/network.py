@@ -22,6 +22,20 @@ class Network:
     names and in layer order, each layer's ``PARAMS`` and its ``BUFFERS``
     (the batch-norm running stats): ``parameters()`` reads its parameters,
     and snapshots hold all of it, so a restored network scores identically.
+
+    When the lead is exactly one temporal norm, the layers run
+    ``[TemporalNorm, Reshape, Dense, ..., Dense, Reshape, TemporalNormReverse]``
+    and every training pass folds the pair's per-feature scale-shift into the
+    dense layers beside it, as Jacob et al. (CVPR 2018) fold a batch norm's
+    affine into a convolution. The first dense layer multiplies the
+    standardized windows by ``diag(gamma) W`` and adds ``b + beta W``; the
+    output layer computes ``gamma * (h W + b) + beta`` with one product
+    (``gamma`` and ``beta`` tiled over the time steps), and the reverse layer
+    only restores each window's moments. The dense layers map the folded
+    gradients back to those of the stored parameters (see ``Dense``), so the
+    parameters, their layout and the optimizer are those of the unfolded
+    network, and their gradients agree with its gradients to rounding.
+    Inference runs the unfolded layers, so a model's scores keep their bits.
     """
 
     def __init__(self, layers: list[Layer], arch_text: str):
@@ -50,6 +64,12 @@ class Network:
         self._arrays = {key: getattr(layer, name) for key, layer, name in entries}
         self.decayed = slice(0, sum(layer.weights.size for layer in layers
                                     if isinstance(layer, Dense)))
+        lead, first, out, trail = layers[0], layers[2], layers[-3], layers[-1]
+        if (isinstance(lead, TemporalNorm) and isinstance(first, Dense)
+                and isinstance(out, Dense) and first is not out
+                and isinstance(trail, TemporalNormReverse)):
+            first.fold_in, out.fold_out = lead, trail
+            lead.folded = trail.folded = True
 
     def forward(self, x: np.ndarray | Standardized, training: bool = False) -> np.ndarray:
         # The grammar allows one temporal-norm pair, as the first and last
@@ -69,7 +89,8 @@ class Network:
         """Set every layer's parameter gradients from the gradient wrt the
         output; returns the gradient wrt the input, or None when
         ``input_grad`` is False, in which case the temporal-norm pair skips
-        its moment and input gradients. The parameter gradients are
+        its moment and input gradients, and a first dense layer with a folded
+        scale-shift its input gradient. The parameter gradients are
         bit-identical either way.
         """
         if not self._forward_was_training:
@@ -80,6 +101,8 @@ class Network:
                 out, handed = layer.backward((out, input_grad))
             elif isinstance(layer, TemporalNorm):
                 out = layer.backward((out, handed))
+            elif isinstance(layer, Dense) and layer.fold_in is not None:
+                out = layer.backward((out, input_grad))
             else:
                 out = layer.backward(out)
         return out if input_grad else None

@@ -9,8 +9,8 @@ ReLU kinks.
 import numpy as np
 import pytest
 
-from dbdiag import build_network, parse_architecture
-from dbdiag.nn import BatchNorm, Dense, squared_error
+from dbdiag import SELECTED_ARCHITECTURE, TABLE_ARCHITECTURES, build_network, parse_architecture
+from dbdiag.nn import BatchNorm, Dense, TemporalNorm, TemporalNormReverse, squared_error
 
 from gradcheck import (
     analytic_gradients,
@@ -57,6 +57,7 @@ def max_error(net, x, target) -> float:
     "BN-(6)-(3)-(6*)-BN*",
     "(6)-BN-(3)-BN*-(6*)",
     "BTN-(5)-BN-(3)-BN*-(5*)-BTN*",
+    "BTN-BN-(6)-(3)-(6*)-BN*-BTN*",
     "PCA-network (3)",
     "PCA-network (3) with BTN",
 ])
@@ -64,6 +65,66 @@ def max_error(net, x, target) -> float:
 def test_each_family_matches_finite_differences(arch, seed):
     net, x, target = checked_case(arch, steps=4, feats=2, batch=3, seed=seed)
     assert max_error(net, x, target) < TOL
+
+
+def _unfold(net):
+    """Undo the fold the network set up: each layer of the temporal-norm pair
+    runs its own scale-shift again, layer by layer, in training too."""
+    for layer in net.layers:
+        if isinstance(layer, Dense):
+            layer.fold_in = layer.fold_out = None
+        elif isinstance(layer, (TemporalNorm, TemporalNormReverse)):
+            layer.folded = False
+    return net
+
+
+@pytest.mark.parametrize("arch", [SELECTED_ARCHITECTURE, "PCA-network (3) with BTN"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_folded_step_matches_the_layer_by_layer_step(arch, input_grad):
+    """In float64, a training step with the pair's scale-shift folded into
+    the first and last dense layers gives every parameter gradient, and the
+    input gradient, of the unfolded step to 1e-12 relative."""
+    spec = parse_architecture(arch)
+    folded = build_network(spec, 30, 6, np.random.default_rng(3))
+    unfolded = _unfold(build_network(spec, 30, 6, np.random.default_rng(3)))
+    first, out = folded.layers[2], folded.layers[-3]
+    assert first.fold_in is folded.layers[0] and out.fold_out is folded.layers[-1]
+    rng = np.random.default_rng(4)
+    values = folded.values + rng.normal(0.0, 0.3, folded.values.shape)
+    np.copyto(folded.values, values)
+    np.copyto(unfolded.values, values)
+    x = rng.normal(size=(40, 30, 6)) * 2.0 + 5.0
+    target = rng.normal(size=x.shape)
+    d_inputs = []
+    for net in (folded, unfolded):
+        _, grad = squared_error(net.forward(x, training=True), target)
+        d_inputs.append(net.backward(grad, input_grad=input_grad))
+    for name, part in folded.layout.items():
+        want = unfolded.grads[part]
+        assert np.abs(folded.grads[part] - want).max() <= 1e-12 * np.abs(want).max(), name
+    if input_grad:
+        got, want = d_inputs
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    else:
+        assert d_inputs == [None, None]
+
+
+@pytest.mark.parametrize("arch", TABLE_ARCHITECTURES + ("BTN-BN-(6)-(3)-(6*)-BN*-BTN*",))
+def test_only_a_lead_of_one_temporal_norm_folds(arch):
+    """The fold needs the pair right beside the first and last dense layers:
+    every temporal-norm row of the table has it, and a ``BTN-BN`` lead or a
+    network without a temporal norm trains layer by layer."""
+    net = build_network(parse_architecture(arch), 4, 2, np.random.default_rng(0))
+    folds = [(layer.fold_in, layer.fold_out) for layer in net.layers
+             if isinstance(layer, Dense)]
+    lead = net.layers[0]
+    if "BTN" in arch and not arch.startswith("BTN-BN"):
+        assert folds[0] == (lead, None) and folds[-1] == (None, net.layers[-1])
+        assert all(fold == (None, None) for fold in folds[1:-1])
+        assert lead.folded and net.layers[-1].folded
+    else:
+        assert all(fold == (None, None) for fold in folds)
+        assert not getattr(lead, "folded", False)
 
 
 def test_moment_routing_through_the_paired_layer():

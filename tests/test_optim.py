@@ -16,7 +16,13 @@ from dbdiag import (
     split_windows,
     train,
 )
-from dbdiag.detector import SELECTED_ARCHITECTURE, _SCORE_CHUNK, _score_window_array
+from dbdiag.detector import (
+    SELECTED_ARCHITECTURE,
+    _SCORE_CHUNK,
+    _prepared_inputs,
+    _score_inputs,
+    _score_window_array,
+)
 from dbdiag.errors import InternalError, TrainingError
 from dbdiag.nn import Adam, squared_error
 
@@ -248,6 +254,21 @@ def test_window_score_equals_the_float64_time_mean(arch, features, rng):
         got = _score_window_array(network, windows)
         assert got.dtype == np.float64
         assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("arch", ["BTN-(8)-(4)-(8*)-BTN*", "(8)-(4)-(8*)"])
+def test_prepared_windows_score_with_the_bits_of_a_scoring_pass(arch, rng):
+    """A fit makes its validation chunks once, standardized for a
+    temporal-norm-first network; scoring them gives the bits of scoring the
+    windows, over three chunks of an overlapping view."""
+    network = build_network(parse_architecture(arch), 30, 6, rng)
+    series = rng.normal(size=(2 * _SCORE_CHUNK + 60, 6)).cumsum(axis=0).astype(np.float32)
+    windows = np.lib.stride_tricks.sliding_window_view(series, 30, axis=0).swapaxes(1, 2)
+    inputs = _prepared_inputs(network, windows)
+    assert len(inputs) == 3
+    want = _score_window_array(network, windows)
+    assert np.array_equal(_score_inputs(network, inputs), want)
+    assert np.array_equal(_score_inputs(network, inputs), want)  # held, not spent
 
 
 def test_window_score_does_not_depend_on_its_chunk(rng):

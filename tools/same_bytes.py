@@ -12,7 +12,11 @@ lives in, each in its own output directory and under the same
   ``--drift`` into ``null/`` and ``drift/``;
 * ``gen --spec data/scenario.json`` into ``spec/``, which must write the
   files of ``data/`` byte for byte;
-* for each architecture of ``ARCHITECTURES``, into ``arch<n>/``:
+* for each architecture of ``ARCHITECTURES``, into ``arch<n>/`` (the
+  selected one, a batch-norm pair, inner batch norms, a temporal-norm pair
+  around inner batch norms, and a temporal norm then a batch norm; the first
+  and fourth train with the temporal-norm pair's scale-shift folded into
+  their dense layers, the fifth without):
   ``train --epochs 6 --history``, ``score`` to JSON with ``--csv``,
   ``detect``, ``score --stats null/stats.csv`` and ``detect --baseline``
   over those null scores, ``match`` over the top detected group to CSV and
@@ -39,7 +43,8 @@ import tempfile
 from pathlib import Path
 
 ARCHITECTURES = ("BTN-(150)-(50)-(150*)-BTN*", "BN-(150)-(50)-(150*)-BN*",
-                 "(150)-BN-(50)-BN*-(150*)", "BTN-(150)-BN-(50)-BN*-(150*)-BTN*")
+                 "(150)-BN-(50)-BN*-(150*)", "BTN-(150)-BN-(50)-BN*-(150*)-BTN*",
+                 "BTN-BN-(150)-(50)-(150*)-BN*-BTN*")
 CLI = "import sys; from dbdiag.cli import main; sys.exit(main())"
 
 
